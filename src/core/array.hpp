@@ -20,6 +20,7 @@
 #include <ostream>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "support/aligned_buffer.hpp"
 #include "support/assertion.hpp"
@@ -72,6 +73,10 @@ class Array {
     level_size_ = stride;
     storage_ = AlignedBuffer<T>(
         static_cast<std::size_t>(level_size_ * levels_));
+    level_offsets_.resize(static_cast<std::size_t>(2 * levels_));
+    for (std::int64_t k = 0; k < 2 * levels_; ++k) {
+      level_offsets_[static_cast<std::size_t>(k)] = (k % levels_) * level_size_;
+    }
   }
 
   /// Extent of spatial dimension i in natural order (0 = outermost,
@@ -92,6 +97,15 @@ class Array {
 
   /// Grid points per time level.
   [[nodiscard]] std::int64_t level_size() const { return level_size_; }
+
+  /// Storage offsets of the circular time levels, listed twice:
+  /// level_offsets()[k] == (k mod time_levels()) * level_size() for k in
+  /// [0, 2 * time_levels()).  Starting at mod_floor(t, time_levels()), the
+  /// next time_levels() entries serve times t, t+1, ... with no further
+  /// modulo — the row views resolve one start per row.
+  [[nodiscard]] const std::int64_t* level_offsets() const {
+    return level_offsets_.data();
+  }
 
   /// Element stride of spatial dimension i.
   [[nodiscard]] std::int64_t stride(int i) const {
@@ -271,6 +285,7 @@ class Array {
   std::array<std::int64_t, D> strides_{};
   std::int64_t levels_ = 2;
   std::int64_t level_size_ = 0;
+  std::vector<std::int64_t> level_offsets_;
   AlignedBuffer<T> storage_;
   BoundaryFn<T, D> boundary_;
 };

@@ -1,128 +1,70 @@
 // LOOPS — the straightforward loop-nest baseline (Figure 1).
 //
 // One serial loop over time; the outermost spatial dimension optionally
-// parallelized (the paper's cilk_for baseline).  For boundary handling the
-// baseline mirrors the ghost-cell trick referenced in the paper: each
-// innermost row is split into a checked prefix, an unchecked interior
-// middle, and a checked suffix, so interior points pay no boundary test.
-// The middle runs through a *row invoker* ri(t, idx, row_end) so view setup
-// and time-level address arithmetic are hoisted to row granularity (the
-// same invoker the TRAP/STRAP base cases use).  Setting
-// `interior_clone = false` forces the checked clone everywhere — the
-// "modulo/check on every access" variant used for the §4 ablation (2.3x
-// degradation on periodic heat).
+// parallelized (the paper's cilk_for baseline).  Each time step is cut into
+// dim-0 slabs — one per outermost coordinate, or in 1D about eight chunks
+// per worker — and every slab runs as a height-1 zoid through the same two
+// base cases TRAP and STRAP use.  A slab that touches the grid edge goes to
+// the boundary base, which splits each row into a checked prefix, an
+// unchecked interior middle and a checked suffix (the ghost-cell trick the
+// paper's baseline mirrors), so interior points pay no boundary test.
+// Passing a checked base case for both clones gives the "check on every
+// access" variant used for the §4 ablation (2.3x degradation on periodic
+// heat).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 
+#include "core/base_case.hpp"
 #include "core/walk_context.hpp"
+#include "geometry/zoid.hpp"
 #include "runtime/parallel.hpp"
 #include "telemetry/trace.hpp"
 
 namespace pochoir {
 
-namespace detail {
-
-template <int I, int D, typename RI, typename KB>
-void loops_nest(std::int64_t t, std::array<std::int64_t, D>& idx,
-                const std::array<std::int64_t, D>& grid,
-                const std::array<std::int64_t, D>& reach, bool prefix_interior,
-                bool interior_clone, const RI& ri, const KB& kb) {
-  if constexpr (I == D - 1) {
-    const std::int64_t n = grid[I];
-    const std::int64_t r = reach[I];
-    if (interior_clone && prefix_interior && n > 2 * r) {
-      for (idx[I] = 0; idx[I] < r; ++idx[I]) kb(t, idx);
-      idx[I] = r;
-      ri(t, idx, n - r);
-      for (idx[I] = n - r; idx[I] < n; ++idx[I]) kb(t, idx);
-    } else {
-      for (idx[I] = 0; idx[I] < n; ++idx[I]) kb(t, idx);
-    }
-  } else {
-    const std::int64_t n = grid[I];
-    const std::int64_t r = reach[I];
-    for (idx[I] = 0; idx[I] < n; ++idx[I]) {
-      const bool here_interior =
-          prefix_interior && idx[I] >= r && idx[I] < n - r;
-      loops_nest<I + 1, D>(t, idx, grid, reach, here_interior, interior_clone,
-                           ri, kb);
-    }
-  }
-}
-
-template <typename Policy, typename RI, typename KB>
-void loops_time_step_1d(const Policy& policy, std::int64_t t, std::int64_t n,
-                        std::int64_t r, const RI& ri, const KB& kb,
-                        bool interior_clone) {
-  if (!interior_clone || n <= 2 * r) {
-    policy.for_range(0, n, 0, [&](std::int64_t x) {
-      std::array<std::int64_t, 1> idx{x};
-      kb(t, idx);
-    });
-    return;
-  }
-  for (std::int64_t x = 0; x < r; ++x) {
-    std::array<std::int64_t, 1> idx{x};
-    kb(t, idx);
-  }
-  // Interior middle in row chunks: one invocation of the row invoker per
-  // chunk, so view setup amortizes over the whole chunk.
-  const std::int64_t lo = r;
-  const std::int64_t hi = n - r;
-  std::int64_t chunks = 1;
-  if constexpr (Policy::is_parallel) {
-    const std::int64_t target = 8 * rt::Scheduler::instance().num_threads();
-    chunks = hi - lo < target ? hi - lo : target;
-    if (chunks < 1) chunks = 1;
-  }
-  policy.for_range(0, chunks, 1, [&](std::int64_t c) {
-    const std::int64_t a = lo + (hi - lo) * c / chunks;
-    const std::int64_t b = lo + (hi - lo) * (c + 1) / chunks;
-    std::array<std::int64_t, 1> idx{a};
-    ri(t, idx, b);
-  });
-  for (std::int64_t x = hi; x < n; ++x) {
-    std::array<std::int64_t, 1> idx{x};
-    kb(t, idx);
-  }
-}
-
-}  // namespace detail
-
-/// Runs the loop-nest baseline over [t0, t1) x grid.  `ri` is the interior
-/// row invoker f(t, idx, row_end); `kb` is the checked per-point boundary
-/// functor f(t, idx).
-template <int D, typename Policy, typename RI, typename KB>
+/// Runs the loop-nest baseline over [t0, t1) x grid.
+template <int D, typename Policy>
 void run_loops(const WalkContext<D>& ctx, const Policy& policy,
-               std::int64_t t0, std::int64_t t1, const RI& ri, const KB& kb,
-               bool interior_clone = true) {
+               std::int64_t t0, std::int64_t t1,
+               std::type_identity_t<BaseCase<D>> interior_base,
+               std::type_identity_t<BaseCase<D>> boundary_base) {
   const auto& grid = ctx.grid;
-  const auto& reach = ctx.reach;
   // Telemetry at time-step granularity: one spatial-volume increment per
-  // completed step, nothing inside the nest.
+  // completed step, nothing inside the slabs.
   std::uint64_t step_points = 1;
   for (int i = 0; i < D; ++i) {
     step_points *= static_cast<std::uint64_t>(grid[static_cast<std::size_t>(i)]);
+  }
+  std::int64_t slabs = grid[0];
+  std::int64_t grain = 0;  // auto: ~8 chunks of slabs per worker
+  if constexpr (D == 1) {
+    // The grid is one row: one slab when serial, ~8 chunks per worker in
+    // parallel, so each base call still covers many points.
+    slabs = 1;
+    if constexpr (Policy::is_parallel) {
+      const std::int64_t target = 8 * rt::Scheduler::instance().num_threads();
+      slabs = grid[0] < target ? grid[0] : target;
+    }
+    grain = 1;
   }
   for (std::int64_t t = t0; t < t1; ++t) {
     // Cancellation unwinds between whole time steps; the loops engine has
     // no finer consistent boundary.
     if (ctx.should_stop()) return;
     trace::Span span(ctx.trace_depth >= 0 ? "loops_step" : nullptr, t);
-    if constexpr (D == 1) {
-      detail::loops_time_step_1d(policy, t, grid[0], reach[0], ri, kb,
-                                 interior_clone);
-    } else {
-      policy.for_range(0, grid[0], 0, [&](std::int64_t x0) {
-        std::array<std::int64_t, D> idx{};
-        idx[0] = x0;
-        const bool slab_interior = x0 >= reach[0] && x0 < grid[0] - reach[0];
-        detail::loops_nest<1, D>(t, idx, grid, reach, slab_interior,
-                                 interior_clone, ri, kb);
-      });
-    }
+    policy.for_range(0, slabs, grain, [&](std::int64_t s) {
+      Zoid<D> z = Zoid<D>::box(t, t + 1, grid);
+      z.x0[0] = grid[0] * s / slabs;
+      z.x1[0] = grid[0] * (s + 1) / slabs;
+      if (ctx.is_interior(z)) {
+        interior_base(z);
+      } else {
+        boundary_base(z);
+      }
+    });
     if (ctx.stats != nullptr) ctx.stats->on_loops_step(step_points);
   }
 }

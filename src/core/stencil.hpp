@@ -11,9 +11,13 @@
 //                           + CY*(u(t,x,y+1) - 2*u(t,x,y) + u(t,x,y-1));
 //   });
 //
-// The kernel is a *generic* callable over (t, x..., views...); the facade
-// instantiates it against InteriorView and BoundaryView to obtain the two
-// clones of §4, then drives TRAP (default), STRAP, or the loop baselines.
+// The kernel is a *generic* callable over (t, x..., views...).  Each run
+// entry builds one leaf from it: the two clones of §4 as base cases, the
+// interior clone walking unit-stride rows through InteriorRowView and the
+// boundary clone reading through BoundaryView.  The leaf reaches the
+// engines — TRAP (default), STRAP, or the loop baselines — as two
+// type-erased BaseCase<D> references through one private execute path, so
+// the engines are compiled once per (D, policy), never per kernel.
 // run() is resumable: a second run(T') continues from step T, as in §2.
 //
 // For long-running jobs, run_supervised() executes the same computation in
@@ -36,6 +40,7 @@
 #include <vector>
 
 #include "core/array.hpp"
+#include "core/base_case.hpp"
 #include "core/loops.hpp"
 #include "core/options.hpp"
 #include "core/shape.hpp"
@@ -47,7 +52,6 @@
 #include "resilience/health.hpp"
 #include "resilience/supervisor.hpp"
 #include "runtime/parallel.hpp"
-#include "support/assertion.hpp"
 #include "support/cancellation.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -182,7 +186,7 @@ class Stencil {
   /// (the paper's name.Run(T, kern)).
   template <typename K>
   void run(std::int64_t steps, K&& kernel) {
-    run_with(rt::ParallelPolicy{}, Algorithm::kTrap, steps, kernel);
+    run_kernel(Algorithm::kTrap, /*parallel=*/true, steps, kernel);
   }
 
   /// Paper-style alias.
@@ -194,18 +198,14 @@ class Stencil {
   /// Runs with an explicit algorithm on the work-stealing pool.
   template <typename K>
   void run(Algorithm alg, std::int64_t steps, K&& kernel) {
-    if (alg == Algorithm::kLoopsSerial) {
-      run_with(rt::SerialPolicy{}, alg, steps, kernel);
-    } else {
-      run_with(rt::ParallelPolicy{}, alg, steps, kernel);
-    }
+    run_kernel(alg, /*parallel=*/true, steps, kernel);
   }
 
   /// Runs with an explicit algorithm entirely on the calling thread
   /// (the "Pochoir 1 core" column of Figure 3).
   template <typename K>
   void run_serial(Algorithm alg, std::int64_t steps, K&& kernel) {
-    run_with(rt::SerialPolicy{}, alg, steps, kernel);
+    run_kernel(alg, /*parallel=*/false, steps, kernel);
   }
 
   // --- supervised execution (resilience layer) -----------------------------
@@ -221,20 +221,8 @@ class Stencil {
       std::int64_t steps, K&& kernel,
       const resilience::SupervisorOptions& opts = {}) {
     validate_run(steps);
-    if (opts.faults != nullptr && opts.faults->wants_kernel_hook()) {
-      // Route every kernel invocation through the fault plan so task
-      // failures and mid-slab cancellations fire at deterministic sites.
-      auto* plan = opts.faults;
-      auto hooked = [plan, &kernel](auto&&... args)
-        requires std::is_invocable_v<std::remove_reference_t<K>&,
-                                     decltype(args)...>
-      {
-        plan->on_kernel_call();
-        kernel(std::forward<decltype(args)>(args)...);
-      };
-      return run_supervised_impl(steps, hooked, opts);
-    }
-    return run_supervised_impl(steps, kernel, opts);
+    const auto [ib, bb] = make_leaf(kernel);
+    return supervise(steps, ib, bb, opts);
   }
 
   /// Restores the newest valid checkpoint generation under
@@ -280,19 +268,9 @@ class Stencil {
   template <typename K>
   void run_loops_checked_everywhere(std::int64_t steps, K&& kernel,
                                     bool parallel = true) {
-    validate_run(steps);
-    const auto pf = make_point_fn(kernel, boundary_factory());
-    const auto ri = detail::point_fn_as_row<D>(pf);
-    const auto [t0, t1] = time_range(steps);
-    const WalkContext<D> ctx = context();
-    if (parallel) {
-      run_loops<D>(ctx, rt::ParallelPolicy{}, t0, t1, ri, pf,
-                   /*interior_clone=*/false);
-    } else {
-      run_loops<D>(ctx, rt::SerialPolicy{}, t0, t1, ri, pf,
-                   /*interior_clone=*/false);
-    }
-    steps_done_ += steps;
+    const auto pb = make_point_fn(kernel, boundary_factory());
+    auto checked = [&pb](const Zoid<D>& z) { for_each_point(z, pb); };
+    execute(Algorithm::kLoopsParallel, parallel, steps, checked, checked);
   }
 
   /// Serial run in which every array access is traced into `sink` (e.g. a
@@ -302,7 +280,7 @@ class Stencil {
     auto factory = [&sink](auto& a, std::int64_t, const auto&) {
       return TracedView(a, sink);
     };
-    run_with_factory(rt::SerialPolicy{}, alg, steps, kernel, factory, factory);
+    run_point_views(alg, steps, kernel, factory);
   }
 
   /// Phase-1 compliance run: every access is validated against the declared
@@ -314,22 +292,7 @@ class Stencil {
       using A = std::remove_reference_t<decltype(a)>;
       return ShapeCheckedView<typename A::value_type, D>(a, shape_, t, idx);
     };
-    run_with_factory(rt::SerialPolicy{}, Algorithm::kLoopsSerial, steps,
-                     kernel, factory, factory);
-  }
-
-  /// Runs `steps` steps with custom per-zoid base cases (`ib` for interior
-  /// zoids, `bb` for boundary zoids) under TRAP; used by the split-pointer
-  /// path and the compiler-generated postsource.
-  template <typename Policy, typename IB, typename BB>
-  void run_custom_base(const Policy& pol, std::int64_t steps, IB&& ib,
-                       BB&& bb) {
-    validate_run(steps);
-    trace::Span span("stencil_run", steps);
-    const auto [t0, t1] = time_range(steps);
-    const WalkContext<D> ctx = context();
-    run_trap(ctx, pol, t0, t1, ib, bb);
-    steps_done_ += steps;
+    run_point_views(Algorithm::kLoopsSerial, steps, kernel, factory);
   }
 
   /// Runs with explicit interior/boundary kernel clones, Phase-1 style
@@ -338,26 +301,15 @@ class Stencil {
   /// unchecked ones (Figure 12(b)).
   template <typename KI, typename KB>
   void run_cloned(std::int64_t steps, KI&& ki, KB&& kb, bool parallel = true) {
-    validate_run(steps);
-    const auto [t0, t1] = time_range(steps);
-    const WalkContext<D> ctx = context();
     const auto pi = [&ki](std::int64_t t, const std::array<std::int64_t, D>& idx) {
       detail::call_kernel<D>(ki, t, idx);
     };
-    const auto pb_raw = [&kb](std::int64_t t,
-                              const std::array<std::int64_t, D>& idx) {
+    const auto pb = [&kb](std::int64_t t,
+                          const std::array<std::int64_t, D>& idx) {
       detail::call_kernel<D>(kb, t, idx);
     };
-    const auto pb = wrap_boundary_point_fn(pb_raw);
-    const auto ri = detail::point_fn_as_row<D>(pi);
-    auto ib = [&ri](const Zoid<D>& z) { for_each_row<D>(z, ri); };
-    auto bb = make_boundary_base(ri, pb);
-    if (parallel) {
-      run_trap(ctx, rt::ParallelPolicy{}, t0, t1, ib, bb);
-    } else {
-      run_trap(ctx, rt::SerialPolicy{}, t0, t1, ib, bb);
-    }
-    steps_done_ += steps;
+    const auto [ib, bb] = row_leaf(detail::point_fn_as_row<D>(pi), pb);
+    execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
   /// Runs with a custom interior *zoid* base (pointer-walking code from
@@ -366,9 +318,6 @@ class Stencil {
   template <typename IB, typename KB>
   void run_split(std::int64_t steps, IB&& interior_base, KB&& boundary_kernel,
                  bool parallel = true) {
-    validate_run(steps);
-    const auto [t0, t1] = time_range(steps);
-    const WalkContext<D> ctx = context();
     const auto pb_raw = [&boundary_kernel](
                             std::int64_t t,
                             const std::array<std::int64_t, D>& idx) {
@@ -376,30 +325,32 @@ class Stencil {
     };
     const auto pb = wrap_boundary_point_fn(pb_raw);
     auto bb = [&pb](const Zoid<D>& z) { for_each_point(z, pb); };
-    if (parallel) {
-      run_trap(ctx, rt::ParallelPolicy{}, t0, t1, interior_base, bb);
-    } else {
-      run_trap(ctx, rt::SerialPolicy{}, t0, t1, interior_base, bb);
-    }
-    steps_done_ += steps;
+    execute(Algorithm::kTrap, parallel, steps, interior_base, bb);
   }
 
   /// Runs a tap-based linear stencil with the split-pointer base case
-  /// (Figure 12(c)); single-array stencils only.  The LinearStencil must
-  /// agree with this object's shape on home_dt and depth.
+  /// (Figure 12(c)); single-array stencils only.  The LinearStencil's shape
+  /// must fit this object's: the same home_dt, and no larger depth or
+  /// reach (the arrays and the interior test are sized from this shape).
   template <typename LS>
   void run_linear(std::int64_t steps, const LS& lin, bool parallel = true) {
     static_assert(sizeof...(Ts) == 1,
                   "split-pointer base cases support one array");
-    POCHOIR_ASSERT(lin.home_dt() == shape_.home_dt());
+    detail::check_usage(registered_,
+                        "register_arrays must be called before running");
+    const Shape<D> lin_shape = lin.shape();
+    detail::check_usage(lin_shape.home_dt() == shape_.home_dt(),
+                        "linear stencil home_dt differs from the shape's");
+    detail::check_usage(lin_shape.depth() <= shape_.depth(),
+                        "linear stencil is deeper than the shape");
+    for (int i = 0; i < D; ++i) {
+      detail::check_usage(lin_shape.reach(i) <= shape_.reach(i),
+                          "linear stencil reaches beyond the shape");
+    }
     auto& a = *std::get<0>(arrays_);
     auto ib = [&](const Zoid<D>& z) { lin.base_interior(a, z); };
     auto bb = [&](const Zoid<D>& z) { lin.base_boundary(a, z); };
-    if (parallel) {
-      run_custom_base(rt::ParallelPolicy{}, steps, ib, bb);
-    } else {
-      run_custom_base(rt::SerialPolicy{}, steps, ib, bb);
-    }
+    execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
  private:
@@ -580,10 +531,26 @@ class Stencil {
     }
   }
 
-  template <typename K>
-  resilience::RunReport run_supervised_impl(
-      std::int64_t steps, K& kernel, const resilience::SupervisorOptions& opts) {
+  /// The supervisor loop over one leaf.  When the FaultPlan wants a hook it
+  /// wraps the two erased base cases (never the kernel), so the hook sees
+  /// every base case once, with its point count.
+  resilience::RunReport supervise(std::int64_t steps, BaseCase<D> ib,
+                                  BaseCase<D> bb,
+                                  const resilience::SupervisorOptions& opts) {
     namespace rs = resilience;
+    auto hooked = [plan = opts.faults](BaseCase<D> base) {
+      return [plan, base](const Zoid<D>& z) {
+        plan->on_base_case(z.volume());
+        base(z);
+      };
+    };
+    const auto hooked_ib = hooked(ib);
+    const auto hooked_bb = hooked(bb);
+    if (opts.faults != nullptr && opts.faults->wants_base_case_hook()) {
+      ib = hooked_ib;
+      bb = hooked_bb;
+    }
+
     CancelToken internal_token;
     CancelToken* token = opts.cancel;
     if (token == nullptr &&
@@ -604,11 +571,9 @@ class Stencil {
 
     auto run_slab = [&](std::int64_t n, bool serial) {
       if (serial) {
-        run_with(rt::SerialPolicy{}, Algorithm::kLoopsSerial, n, kernel);
-      } else if (opts.parallel) {
-        run_with(rt::ParallelPolicy{}, opts.algorithm, n, kernel);
+        execute(Algorithm::kLoopsSerial, /*parallel=*/false, n, ib, bb);
       } else {
-        run_with(rt::SerialPolicy{}, opts.algorithm, n, kernel);
+        execute(opts.algorithm, opts.parallel, n, ib, bb);
       }
     };
     auto capture = [&] { capture_restore_point(restore); };
@@ -651,46 +616,74 @@ class Stencil {
                          health, apply_faults, write_ckpt);
   }
 
-  /// The standard execution path: interior work runs through row-granular
-  /// views (time-level base pointers hoisted once per unit-stride row, no
-  /// modulo in the inner loop), closing most of the gap to the split-pointer
-  /// base case of LinearStencil.
-  template <typename Policy, typename K>
-  void run_with(const Policy& pol, Algorithm alg, std::int64_t steps,
-                K& kernel) {
+  /// The one execution path behind every run entry: validates the request,
+  /// opens the run's trace span, and drives the chosen engine over the
+  /// next `steps` steps with the leaf's two base cases.  kLoopsSerial
+  /// always runs on the calling thread.
+  void execute(Algorithm alg, bool parallel, std::int64_t steps,
+               BaseCase<D> ib, BaseCase<D> bb) {
     validate_run(steps);
-    // InteriorRowView caches one base pointer per circular time level in a
-    // fixed-size table; arrays deeper than its capacity take the per-point
-    // path instead of aborting mid-run.
-    std::int64_t max_levels = 0;
-    std::apply(
-        [&](auto*... arrs) {
-          ((max_levels = arrs->time_levels() > max_levels ? arrs->time_levels()
-                                                          : max_levels),
-           ...);
-        },
-        arrays_);
-    if (max_levels > kMaxRowViewTimeLevels) {
-      run_with_factory(pol, alg, steps, kernel, interior_factory(),
-                       boundary_factory());
-      return;
-    }
     trace::Span span("stencil_run", steps);
     const auto [t0, t1] = time_range(steps);
     const WalkContext<D> ctx = context();
-    const auto pb_raw = make_point_fn(kernel, boundary_factory());
-    const auto pb = wrap_boundary_point_fn(pb_raw);
-    const auto ri = make_row_fn(kernel, interior_row_factory());
-    dispatch(pol, alg, ctx, t0, t1, ri, pb, /*interior_clone=*/true);
+    auto engine = [&](const auto& pol) {
+      switch (alg) {
+        case Algorithm::kTrap:
+          run_trap(ctx, pol, t0, t1, ib, bb);
+          break;
+        case Algorithm::kStrap:
+          run_strap(ctx, pol, t0, t1, ib, bb);
+          break;
+        case Algorithm::kLoopsParallel:
+        case Algorithm::kLoopsSerial:
+          run_loops(ctx, pol, t0, t1, ib, bb);
+          break;
+      }
+    };
+    if (parallel && alg != Algorithm::kLoopsSerial) {
+      engine(rt::ParallelPolicy{});
+    } else {
+      engine(rt::SerialPolicy{});
+    }
     steps_done_ += steps;
   }
 
-  static constexpr std::int64_t kMaxRowViewTimeLevels =
-      InteriorRowView<int, D>::kMaxTimeLevels;
-
-  static auto interior_factory() {
-    return [](auto& a, std::int64_t, const auto&) { return InteriorView(a); };
+  /// The standard leaf for `kernel`: interior rows through InteriorRowView,
+  /// checked points through BoundaryView.  Its type depends on the kernel
+  /// alone, so every entry point shares one instantiation per kernel.
+  template <typename K>
+  auto make_leaf(K& kernel) {
+    return row_leaf(make_row_fn(kernel, interior_row_factory()),
+                    make_point_fn(kernel, boundary_factory()));
   }
+
+  /// The two clones of §4 as (interior, boundary) base cases over a row
+  /// invoker ri(t, idx, row_end) and a checked point functor pb(t, idx):
+  /// interior zoids run every row through ri, boundary zoids split their
+  /// rows (make_boundary_base).  Both closures hold copies of ri and pb.
+  template <typename RI, typename PB>
+  auto row_leaf(const RI& ri, const PB& pb) const {
+    return std::pair([ri](const Zoid<D>& z) { for_each_row<D>(z, ri); },
+                     make_boundary_base(ri, wrap_boundary_point_fn(pb)));
+  }
+
+  template <typename K>
+  void run_kernel(Algorithm alg, bool parallel, std::int64_t steps,
+                  K& kernel) {
+    const auto [ib, bb] = make_leaf(kernel);
+    execute(alg, parallel, steps, ib, bb);
+  }
+
+  /// Serial run with views built per point by `factory(array, t, idx)`
+  /// (traced and shape-checked runs, whose views depend on the home point).
+  template <typename K, typename Factory>
+  void run_point_views(Algorithm alg, std::int64_t steps, K& kernel,
+                       Factory factory) {
+    const auto pf = make_point_fn(kernel, factory);
+    const auto [ib, bb] = row_leaf(detail::point_fn_as_row<D>(pf), pf);
+    execute(alg, /*parallel=*/false, steps, ib, bb);
+  }
+
   static auto boundary_factory() {
     return [](auto& a, std::int64_t, const auto&) { return BoundaryView(a); };
   }
@@ -707,8 +700,8 @@ class Stencil {
   /// obtained by a modulo computation (§4).
   template <typename PB>
   auto wrap_boundary_point_fn(const PB& pb_raw) const {
-    return [this, &pb_raw](std::int64_t t,
-                           const std::array<std::int64_t, D>& idx) {
+    return [this, pb_raw](std::int64_t t,
+                          const std::array<std::int64_t, D>& idx) {
       std::array<std::int64_t, D> true_idx;
       for (int i = 0; i < D; ++i) {
         true_idx[i] = mod_floor(idx[static_cast<std::size_t>(i)],
@@ -718,41 +711,18 @@ class Stencil {
     };
   }
 
-  /// Drives the chosen algorithm with a row-granular interior invoker
-  /// ri(t, idx, row_end) and a per-point boundary functor pb(t, idx).
-  template <typename Policy, typename RI, typename PB>
-  void dispatch(const Policy& pol, Algorithm alg, const WalkContext<D>& ctx,
-                std::int64_t t0, std::int64_t t1, const RI& ri, const PB& pb,
-                bool interior_clone) {
-    auto ib = [&ri](const Zoid<D>& z) { for_each_row<D>(z, ri); };
-    auto bb = make_boundary_base(ri, pb);
-    switch (alg) {
-      case Algorithm::kTrap:
-        run_trap(ctx, pol, t0, t1, ib, bb);
-        break;
-      case Algorithm::kStrap:
-        run_strap(ctx, pol, t0, t1, ib, bb);
-        break;
-      case Algorithm::kLoopsParallel:
-        run_loops<D>(ctx, pol, t0, t1, ri, pb, interior_clone);
-        break;
-      case Algorithm::kLoopsSerial:
-        run_loops<D>(ctx, rt::SerialPolicy{}, t0, t1, ri, pb, interior_clone);
-        break;
-    }
-  }
-
   /// Boundary-zoid base case with row splitting: rows whose outer
   /// coordinates are safely interior run the checked clone only on the
   /// `reach`-wide flanks and the fast interior row invoker on the middle —
   /// the ghost-cell trick applied inside boundary zoids.  This matters most
   /// for the paper's >=3D heuristic, where the unit-stride dimension is
-  /// never cut and every zoid spans the full row.
+  /// never cut and every zoid spans the full row, and for the loops
+  /// engine, whose edge slabs all land here.
   template <typename RI, typename PB>
   auto make_boundary_base(const RI& ri, const PB& pb) const {
     const auto& reach = shape_.reaches();
     const auto& grid = grid_;
-    return [&ri, &pb, &reach, &grid](const Zoid<D>& z) {
+    return [ri, pb, &reach, &grid](const Zoid<D>& z) {
       for_each_row<D>(z, [&](std::int64_t t, std::array<std::int64_t, D> idx,
                              std::int64_t row_end) {
         bool outer_safe = true;
@@ -824,23 +794,6 @@ class Stencil {
           };
         },
         arrays_);
-  }
-
-  /// Per-point-view execution used by the traced and shape-checked paths,
-  /// whose view factories depend on the individual home point.
-  template <typename Policy, typename K, typename FI, typename FB>
-  void run_with_factory(const Policy& pol, Algorithm alg, std::int64_t steps,
-                        K& kernel, FI interior_fac, FB boundary_fac) {
-    validate_run(steps);
-    trace::Span span("stencil_run", steps);
-    const auto [t0, t1] = time_range(steps);
-    const WalkContext<D> ctx = context();
-    const auto pi = make_point_fn(kernel, interior_fac);
-    const auto pb_raw = make_point_fn(kernel, boundary_fac);
-    const auto pb = wrap_boundary_point_fn(pb_raw);
-    const auto ri = detail::point_fn_as_row<D>(pi);
-    dispatch(pol, alg, ctx, t0, t1, ri, pb, /*interior_clone=*/true);
-    steps_done_ += steps;
   }
 
   Shape<D> shape_;

@@ -15,8 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <type_traits>
 
+#include "core/base_case.hpp"
 #include "core/walk_context.hpp"
 #include "geometry/cuts.hpp"
 #include "geometry/zoid.hpp"
@@ -25,11 +26,11 @@
 
 namespace pochoir {
 
-template <int D, typename Policy, typename InteriorBase, typename BoundaryBase>
+template <int D, typename Policy>
 class StrapWalker {
  public:
   StrapWalker(const WalkContext<D>& ctx, const Policy& policy,
-              InteriorBase& interior_base, BoundaryBase& boundary_base)
+              BaseCase<D> interior_base, BaseCase<D> boundary_base)
       : ctx_(ctx),
         policy_(policy),
         interior_base_(interior_base),
@@ -101,17 +102,17 @@ class StrapWalker {
 
   const WalkContext<D>& ctx_;
   const Policy& policy_;
-  InteriorBase& interior_base_;
-  BoundaryBase& boundary_base_;
+  BaseCase<D> interior_base_;
+  BaseCase<D> boundary_base_;
 };
 
 /// Convenience runner: walks the full space-time box [t0, t1) x grid.
-template <int D, typename Policy, typename InteriorBase, typename BoundaryBase>
+template <int D, typename Policy>
 void run_strap(const WalkContext<D>& ctx, const Policy& policy,
-               std::int64_t t0, std::int64_t t1, InteriorBase&& interior_base,
-               BoundaryBase&& boundary_base) {
-  StrapWalker<D, Policy, std::decay_t<InteriorBase>, std::decay_t<BoundaryBase>>
-      walker(ctx, policy, interior_base, boundary_base);
+               std::int64_t t0, std::int64_t t1,
+               std::type_identity_t<BaseCase<D>> interior_base,
+               std::type_identity_t<BaseCase<D>> boundary_base) {
+  StrapWalker<D, Policy> walker(ctx, policy, interior_base, boundary_base);
   walker.walk(Zoid<D>::box(t0, t1, ctx.grid));
 }
 

@@ -7,17 +7,19 @@
 //      parallel.
 //   2. Time cut: if no space cut applies and the height exceeds the
 //      coarsening threshold, halve the time dimension; lower before upper.
-//   3. Base case: hand the zoid to the interior or boundary base-case
-//      functor (the two kernel clones of §4).
+//   3. Base case: hand the zoid to the interior or boundary base case (the
+//      two kernel clones of §4).
 //
 // The walker is policy-parameterized (serial vs work-stealing parallel) and
-// base-case-parameterized, so the same control structure serves real
-// execution, pointer-optimized base cases, and traced simulation.
+// takes its base cases as type-erased BaseCase<D> references, so one
+// compiled walker per (D, policy) serves real execution, pointer-optimized
+// base cases, and traced simulation.
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <type_traits>
 
+#include "core/base_case.hpp"
 #include "core/walk_context.hpp"
 #include "geometry/cuts.hpp"
 #include "geometry/zoid.hpp"
@@ -26,11 +28,11 @@
 
 namespace pochoir {
 
-template <int D, typename Policy, typename InteriorBase, typename BoundaryBase>
+template <int D, typename Policy>
 class TrapWalker {
  public:
   TrapWalker(const WalkContext<D>& ctx, const Policy& policy,
-             InteriorBase& interior_base, BoundaryBase& boundary_base)
+             BaseCase<D> interior_base, BaseCase<D> boundary_base)
       : ctx_(ctx),
         policy_(policy),
         interior_base_(interior_base),
@@ -97,17 +99,18 @@ class TrapWalker {
 
   const WalkContext<D>& ctx_;
   const Policy& policy_;
-  InteriorBase& interior_base_;
-  BoundaryBase& boundary_base_;
+  BaseCase<D> interior_base_;
+  BaseCase<D> boundary_base_;
 };
 
-/// Convenience runner: walks the full space-time box [t0, t1) x grid.
-template <int D, typename Policy, typename InteriorBase, typename BoundaryBase>
+/// Convenience runner: walks the full space-time box [t0, t1) x grid.  Any
+/// callable f(const Zoid<D>&) converts to the base-case parameters.
+template <int D, typename Policy>
 void run_trap(const WalkContext<D>& ctx, const Policy& policy,
-              std::int64_t t0, std::int64_t t1, InteriorBase&& interior_base,
-              BoundaryBase&& boundary_base) {
-  TrapWalker<D, Policy, std::decay_t<InteriorBase>, std::decay_t<BoundaryBase>>
-      walker(ctx, policy, interior_base, boundary_base);
+              std::int64_t t0, std::int64_t t1,
+              std::type_identity_t<BaseCase<D>> interior_base,
+              std::type_identity_t<BaseCase<D>> boundary_base) {
+  TrapWalker<D, Policy> walker(ctx, policy, interior_base, boundary_base);
   walker.walk(Zoid<D>::box(t0, t1, ctx.grid));
 }
 

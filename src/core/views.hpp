@@ -8,12 +8,15 @@
 //       u(t+1, x, y) = ... u(t, x-1, y) ...;
 //     };
 //
-// and the walker instantiates it twice: with InteriorView (raw references,
-// compiles to direct loads/stores) and with BoundaryView (a proxy whose
-// reads consult the boundary function when off-domain).  Because both view
-// types expose the same expression interface, a kernel that compiles
-// against the checked view compiles against the unchecked one — the
-// library-level restatement of the Pochoir Guarantee.
+// and the stencil's leaf instantiates it twice: with InteriorRowView, once
+// per unit-stride row of the interior clone (unchecked, compiles to direct
+// loads/stores off hoisted time-level addresses), and with BoundaryView for
+// the boundary clone (a proxy whose reads consult the boundary function
+// when off-domain).  Because both view types expose the same expression
+// interface, a kernel that compiles against the checked view compiles
+// against the unchecked one — the library-level restatement of the Pochoir
+// Guarantee.  The traced and shape-checked views serve the instrumented
+// runs.
 //
 // For struct-valued cells (e.g. the LBM distribution record), use the
 // read()/write() methods, which both views also share.
@@ -28,50 +31,13 @@
 
 namespace pochoir {
 
-/// Unchecked view: the interior clone's access path.
-template <typename T, int D>
-class InteriorView {
- public:
-  explicit InteriorView(Array<T, D>& a) : a_(&a) {}
-
-  template <typename... Idx>
-  [[nodiscard]] T& operator()(std::int64_t t, Idx... i) const {
-    static_assert(sizeof...(Idx) == D);
-    return a_->at(t, std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...});
-  }
-
-  template <typename... Idx>
-  [[nodiscard]] T read(std::int64_t t, Idx... i) const {
-    return operator()(t, i...);
-  }
-
-  /// write(t, idx..., value)
-  template <typename... Rest>
-  void write(std::int64_t t, Rest... rest) const {
-    write_impl(t, std::make_index_sequence<sizeof...(Rest) - 1>{}, rest...);
-  }
-
-  [[nodiscard]] Array<T, D>& array() const { return *a_; }
-
- private:
-  template <std::size_t... Is, typename... Rest>
-  void write_impl(std::int64_t t, std::index_sequence<Is...>, Rest... rest) const {
-    auto tuple = std::forward_as_tuple(rest...);
-    std::array<std::int64_t, D> idx{
-        static_cast<std::int64_t>(std::get<Is>(tuple))...};
-    a_->at(t, idx) = std::get<sizeof...(Rest) - 1>(tuple);
-  }
-
-  Array<T, D>* a_;
-};
-
 /// Unchecked view with row-granularity address hoisting: the interior
 /// clone's access path used by the row-walking base case.  Constructed once
-/// per unit-stride row, it resolves the circular-time-level base pointer of
-/// every dt the shape can reach ONCE (one mod_floor per level per row), so
-/// each access in the inner loop is a table lookup plus a linear offset the
-/// compiler strength-reduces — the library analogue of the hoisted pointers
-/// in the compiler's -split-pointer postsource (Figure 12(c)).
+/// per unit-stride row, it resolves the row's circular-time window ONCE (one
+/// mod_floor into the array's level-offset table, any depth), so each access
+/// in the inner loop is a table lookup plus a linear offset the compiler
+/// strength-reduces — the library analogue of the hoisted pointers in the
+/// compiler's -split-pointer postsource (Figure 12(c)).
 ///
 /// `home_dt` anchors the reachable window: a kernel invoked at time t only
 /// touches t+dt for dt in [home_dt - depth, home_dt] (shape rule: reads are
@@ -80,26 +46,18 @@ class InteriorView {
 template <typename T, int D>
 class InteriorRowView {
  public:
-  static constexpr std::int64_t kMaxTimeLevels = 16;
-
   InteriorRowView(Array<T, D>& a, std::int64_t t_row, std::int64_t home_dt)
       : a_(&a),
+        base_(a.data()),
         t_lo_(t_row + home_dt - a.time_levels() + 1),
-        levels_(a.time_levels()) {
-    POCHOIR_ASSERT(levels_ <= kMaxTimeLevels);
-    T* const base = a.data();
-    const std::int64_t ls = a.level_size();
-    for (std::int64_t k = 0; k < levels_; ++k) {
-      level_base_[static_cast<std::size_t>(k)] =
-          base + mod_floor(t_lo_ + k, levels_) * ls;
-    }
+        level_offset_(a.level_offsets() + mod_floor(t_lo_, a.time_levels())) {
     for (int i = 0; i < D; ++i) strides_[static_cast<std::size_t>(i)] = a.stride(i);
   }
 
   /// Pointer-sized proxy handed to kernels.  Kernels take views by value
-  /// per invocation; copying the full row view (its level-pointer table is
-  /// past the scalarization threshold) per point would drown the win, so
-  /// the kernel-facing object is one pointer into the row-lifetime view.
+  /// per invocation; copying the full row view per point would drown the
+  /// win, so the kernel-facing object is one pointer into the row-lifetime
+  /// view.
   class Handle {
    public:
     explicit Handle(const InteriorRowView* v) : v_(v) {}
@@ -147,8 +105,8 @@ class InteriorRowView {
 
  private:
   [[nodiscard]] T* level_ptr(std::int64_t t) const {
-    POCHOIR_DEBUG_ASSERT(t >= t_lo_ && t < t_lo_ + levels_);
-    return level_base_[static_cast<std::size_t>(t - t_lo_)];
+    POCHOIR_DEBUG_ASSERT(t >= t_lo_ && t < t_lo_ + a_->time_levels());
+    return base_ + level_offset_[t - t_lo_];
   }
 
   [[nodiscard]] std::int64_t spatial_offset(
@@ -169,9 +127,9 @@ class InteriorRowView {
   }
 
   Array<T, D>* a_;
+  T* base_;
   std::int64_t t_lo_;
-  std::int64_t levels_;
-  std::array<T*, kMaxTimeLevels> level_base_{};
+  const std::int64_t* level_offset_;  // entry k: offset of time t_lo_ + k
   std::array<std::int64_t, D> strides_{};
 };
 

@@ -172,29 +172,38 @@ inline void prune_checkpoints(const std::string& base, std::uint64_t newest,
 
 namespace detail {
 
-template <typename T>
-void append_pod(std::vector<unsigned char>& out, const T& v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
+/// Visits every header field in file order: magic, version, meta, then
+/// per array its layout and payload size.
+template <typename Visit>
+void visit_header(const CheckpointMeta& meta,
+                  const std::vector<ArraySnapshot>& arrays, Visit&& visit) {
+  visit(kCheckpointMagic);
+  visit(kCheckpointVersion);
+  visit(meta.generation);
+  visit(meta.steps_done);
+  visit(meta.steps_target);
+  visit(static_cast<std::uint32_t>(arrays.size()));
+  for (const ArraySnapshot& a : arrays) {
+    visit(a.dims);
+    visit(a.elem_size);
+    visit(a.levels);
+    visit(a.level_size);
+    for (std::int64_t e : a.extents) visit(e);
+    visit(a.bytes);
+  }
 }
 
+/// The header bytes, sized up front and filled in place.
 inline std::vector<unsigned char> encode_header(
     const CheckpointMeta& meta, const std::vector<ArraySnapshot>& arrays) {
-  std::vector<unsigned char> header;
-  append_pod(header, kCheckpointMagic);
-  append_pod(header, kCheckpointVersion);
-  append_pod(header, meta.generation);
-  append_pod(header, meta.steps_done);
-  append_pod(header, meta.steps_target);
-  append_pod(header, static_cast<std::uint32_t>(arrays.size()));
-  for (const ArraySnapshot& a : arrays) {
-    append_pod(header, a.dims);
-    append_pod(header, a.elem_size);
-    append_pod(header, a.levels);
-    append_pod(header, a.level_size);
-    for (std::int64_t e : a.extents) append_pod(header, e);
-    append_pod(header, a.bytes);
-  }
+  std::size_t size = 0;
+  visit_header(meta, arrays, [&](const auto& v) { size += sizeof v; });
+  std::vector<unsigned char> header(size);
+  std::size_t pos = 0;
+  visit_header(meta, arrays, [&](const auto& v) {
+    std::memcpy(header.data() + pos, &v, sizeof v);
+    pos += sizeof v;
+  });
   return header;
 }
 

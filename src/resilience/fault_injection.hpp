@@ -5,7 +5,7 @@
 // planted at a chosen (t, x) site, a simulated task failure inside the
 // parallel walk, a cooperative cancellation fired mid-slab, and a
 // simulated process kill after a chosen slab.  The supervisor arms the
-// plan at each slab boundary (begin_slab); the kernel hook and the IO
+// plan at each slab boundary (begin_slab); the base-case hook and the IO
 // seam consume armed faults exactly once, so a degraded retry of the same
 // slab does not re-fail.
 //
@@ -40,13 +40,17 @@ struct FaultPlan {
   std::int64_t poison_after_slab = -1;
   std::int64_t poison_flat_index = 0;
 
-  /// Throw a pochoir::Error from the kernel hook during this slab's first
-  /// attempt (exercises abort propagation through the scheduler and the
-  /// serial-degradation retry).
+  /// Throw a pochoir::Error from the base-case hook during this slab's
+  /// first attempt (exercises abort propagation through the scheduler and
+  /// the serial-degradation retry).
   std::int64_t fail_task_at_slab = -1;
 
-  /// Fire CancelToken::cancel() from the kernel hook during this slab,
-  /// after `cancel_after_calls` kernel invocations (mid-slab unwind).
+  /// Fire CancelToken::cancel() from the base-case hook during this slab,
+  /// once `cancel_after_calls` kernel invocations have been handed out
+  /// (mid-slab unwind).  The hook runs once per base case (a TRAP/STRAP
+  /// base zoid or a loops slab) and counts that base case's points, so
+  /// the cancellation fires at the start of the base case that would make
+  /// kernel call number cancel_after_calls + 1.
   std::int64_t cancel_at_slab = -1;
   std::int64_t cancel_after_calls = 0;
 
@@ -56,7 +60,7 @@ struct FaultPlan {
 
   // --- runtime interface (supervisor / IO seam) ---------------------------
 
-  [[nodiscard]] bool wants_kernel_hook() const {
+  [[nodiscard]] bool wants_base_case_hook() const {
     return fail_task_at_slab >= 0 || cancel_at_slab >= 0;
   }
 
@@ -71,17 +75,18 @@ struct FaultPlan {
                         std::memory_order_relaxed);
   }
 
-  /// Invoked per kernel call when the plan wants a kernel hook; throws the
-  /// armed task failure, fires the armed cancellation.
-  void on_kernel_call() {
+  /// Invoked before each base case, with its point count (= kernel calls),
+  /// when the plan wants a hook; throws the armed task failure, fires the
+  /// armed cancellation.
+  void on_base_case(std::int64_t points) {
     if (task_failure_armed_.load(std::memory_order_relaxed) &&
         task_failure_armed_.exchange(false, std::memory_order_relaxed)) {
       throw Error("fault injection: simulated task failure");
     }
     if (cancel_armed_.load(std::memory_order_relaxed)) {
       const std::int64_t n =
-          kernel_calls_.fetch_add(1, std::memory_order_relaxed);
-      if (n >= cancel_after_calls &&
+          kernel_calls_.fetch_add(points, std::memory_order_relaxed);
+      if (n + points > cancel_after_calls &&
           cancel_armed_.exchange(false, std::memory_order_relaxed)) {
         token_->cancel();
       }

@@ -135,13 +135,30 @@ TEST(LinearStencil, SerialAndParallelAgree) {
   }
 }
 
-TEST(LinearStencilDeath, HomeDtMismatchRejected) {
+TEST(LinearStencil, MisuseThrows) {
   Array<double, 1> u({16}, 1);
   u.register_boundary(zero_boundary<double, 1>());
+  const auto heat = stencils::heat_linear<1>({0.2});
+
+  Stencil<1, double> unregistered(stencils::heat_shape<1>());
+  EXPECT_THROW(unregistered.run_linear(1, heat), Error);
+
   Stencil<1, double> st(stencils::heat_shape<1>());
   st.register_arrays(u);
-  const LinearStencil<double, 1> wrong(2, {{0, {0}, 1.0}});
-  EXPECT_DEATH(st.run_linear(1, wrong), "home_dt");
+  // A different home_dt.
+  const LinearStencil<double, 1> later(2, {{0, {0}, 1.0}});
+  EXPECT_THROW(st.run_linear(1, later), Error);
+  // Deeper than the shape: also reads t-1 (depth 2 > 1).
+  const LinearStencil<double, 1> deeper(1, {{0, {0}, 0.5}, {-1, {0}, 0.5}});
+  EXPECT_THROW(st.run_linear(1, deeper), Error);
+  // Wider than the shape: reach 2 > 1.
+  const LinearStencil<double, 1> wider(1, {{0, {-2}, 0.5}, {0, {2}, 0.5}});
+  EXPECT_THROW(st.run_linear(1, wider), Error);
+  EXPECT_EQ(st.steps_done(), 0);
+
+  // A contained shape runs.
+  EXPECT_NO_THROW(st.run_linear(1, heat));
+  EXPECT_EQ(st.steps_done(), 1);
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
 // Telemetry-layer tests: counter consistency (points updated == grid x
 // steps; TRAP vs loops agree; scheduler spawns == tasks run), trace-JSON
-// well-formedness and span nesting, registry/export round trips through
-// the JSON linter, the off-by-default allocation-free guarantee, and the
-// RunReport timing fields of supervised runs.
+// well-formedness and span nesting, one stencil_run span per run entry
+// point, registry/export round trips through the JSON linter, the
+// off-by-default allocation-free guarantee, and the RunReport timing
+// fields of supervised runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <new>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/boundary.hpp"
@@ -264,6 +267,94 @@ TEST(TelemetryTrace, TracedWalkEmitsZoidSpans) {
   tracer.reset();
 }
 
+/// Number of stencil_run spans recorded while `fn` runs.
+template <typename F>
+std::size_t stencil_run_spans(F&& fn) {
+  trace::Tracer& tracer = trace::Tracer::instance();
+  tracer.reset();
+  tracer.set_active(true);
+  fn();
+  tracer.set_active(false);
+  std::size_t runs = 0;
+  for (const auto& log : tracer.drain_copy()) {
+    for (const auto& ev : log.events) {
+      if (std::string(ev.name) == "stencil_run") ++runs;
+    }
+  }
+  tracer.reset();
+  return runs;
+}
+
+/// Access sink for run_traced that only counts touches.
+struct TouchCounter {
+  std::int64_t touches = 0;
+  void touch(const void*, std::size_t) { ++touches; }
+};
+
+TEST(TelemetryTrace, EveryRunEntryOpensOneStencilRunSpan) {
+  namespace fs = std::filesystem;
+  const std::int64_t n = 16, steps = 4;
+  Array<double, 2> a({n, n}, stencils::heat_shape<2>().depth());
+  a.register_boundary(periodic_boundary<double, 2>());
+  stencils::fill_random(a, 0, 0.0, 1.0);
+  Stencil<2, double> heat(stencils::heat_shape<2>());
+  heat.register_arrays(a);
+  const stencils::HeatCoeffs<2> c = {0.125, 0.125};
+  auto kern = stencils::heat_kernel_2d(c);
+  // Phase-1 style clone (closes over the array), as pochoirc emits it.
+  auto phase1 = [&a](std::int64_t t, std::int64_t x, std::int64_t y) {
+    a(t + 1, x, y) = 0.5 * a(t, x, y) +
+                     0.125 * (a(t, x - 1, y) + a(t, x + 1, y) +
+                              a(t, x, y - 1) + a(t, x, y + 1));
+  };
+  auto split_base = [&phase1](const Zoid<2>& z) {
+    for_each_point(z, [&](std::int64_t t, const std::array<std::int64_t, 2>& i) {
+      phase1(t, i[0], i[1]);
+    });
+  };
+  TouchCounter sink;
+
+  // A supervised run that "dies" after its first slab leaves a checkpoint
+  // for resume() to finish in one slab.
+  const fs::path dir = fs::path("telemetry_test_spans");
+  fs::create_directories(dir);
+  resilience::FaultPlan kill;
+  kill.kill_after_slab = 0;
+  resilience::SupervisorOptions crash;
+  crash.slab_steps = steps;
+  crash.checkpoint_path = (dir / "ck").string();
+  crash.faults = &kill;
+  ASSERT_EQ(heat.run_supervised(2 * steps, kern, crash).status,
+            resilience::RunStatus::kSimulatedCrash);
+  resilience::SupervisorOptions finish;
+  finish.checkpoint_path = crash.checkpoint_path;
+
+  const std::vector<std::pair<const char*, std::function<void()>>> entries = {
+      {"run", [&] { heat.run(steps, kern); }},
+      {"Run", [&] { heat.Run(steps, kern); }},
+      {"run(alg)", [&] { heat.run(Algorithm::kStrap, steps, kern); }},
+      {"run_serial",
+       [&] { heat.run_serial(Algorithm::kLoopsParallel, steps, kern); }},
+      {"run_supervised",
+       [&] { EXPECT_TRUE(heat.run_supervised(steps, kern).ok()); }},
+      {"resume", [&] { EXPECT_TRUE(heat.resume(kern, finish).ok()); }},
+      {"run_loops_checked_everywhere",
+       [&] { heat.run_loops_checked_everywhere(steps, kern); }},
+      {"run_traced",
+       [&] { heat.run_traced(Algorithm::kTrap, steps, kern, sink); }},
+      {"run_debug", [&] { heat.run_debug(steps, kern); }},
+      {"run_cloned", [&] { heat.run_cloned(steps, phase1, phase1); }},
+      {"run_split", [&] { heat.run_split(steps, split_base, phase1); }},
+      {"run_linear",
+       [&] { heat.run_linear(steps, stencils::heat_linear<2>(c)); }},
+  };
+  for (const auto& [name, call] : entries) {
+    EXPECT_EQ(stencil_run_spans(call), 1u) << name;
+  }
+  EXPECT_GT(sink.touches, 0);
+  fs::remove_all(dir);
+}
+
 TEST(TelemetryExport, SessionAndRegistrySnapshotAreValidJson) {
   {
     trace::Session session("test/heat2", /*force_enable=*/true);
@@ -304,12 +395,23 @@ TEST(TelemetryOverhead, DisabledAndCounterOnlyPathsAreAllocationFree) {
   (void)tel::walk_stats().snapshot();
   (void)trace::Tracer::instance().active();
 
-  // Telemetry off (the default): the serial walk stays allocation-free.
+  // Every engine on the calling thread, plus a default-options supervised
+  // run (parallel TRAP behind the supervisor).
+  auto run_all = [&] {
+    for (Algorithm alg : {Algorithm::kTrap, Algorithm::kStrap,
+                          Algorithm::kLoopsParallel, Algorithm::kLoopsSerial}) {
+      heat.run_serial(alg, steps, kern);
+    }
+    (void)heat.run_supervised(steps, kern);
+  };
+  run_all();  // creates the scheduler pool outside the measured region
+
+  // Telemetry off (the default): the runs stay allocation-free.
   {
     ASSERT_FALSE(tel::enabled());
     g_allocs.store(0);
     g_counting.store(true);
-    heat.run_serial(Algorithm::kTrap, steps, kern);
+    run_all();
     g_counting.store(false);
     EXPECT_EQ(g_allocs.load(), 0);
   }
@@ -318,7 +420,7 @@ TEST(TelemetryOverhead, DisabledAndCounterOnlyPathsAreAllocationFree) {
     EnabledScope on(true);
     g_allocs.store(0);
     g_counting.store(true);
-    heat.run_serial(Algorithm::kTrap, steps, kern);
+    run_all();
     g_counting.store(false);
     EXPECT_EQ(g_allocs.load(), 0);
   }
