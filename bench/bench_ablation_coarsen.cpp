@@ -44,7 +44,7 @@ int main() {
     double secs;
   };
   std::vector<Sample> samples;
-  for (const auto [dt, dx] :
+  for (const auto& [dt, dx] :
        {std::pair<std::int64_t, std::int64_t>{1, 1}, {1, 8}, {2, 16},
         {5, 100}, {8, 256}, {16, 1024}}) {
     Options<2> opts;

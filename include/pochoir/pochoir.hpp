@@ -25,7 +25,6 @@
 #include "core/options.hpp"
 #include "core/shape.hpp"
 #include "core/stencil.hpp"
-#include "core/strap.hpp"
 #include "core/trap.hpp"
 #include "core/views.hpp"
 #include "geometry/cuts.hpp"

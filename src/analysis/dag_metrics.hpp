@@ -2,14 +2,18 @@
 //
 // The paper measures parallelism (work T1 divided by span T_inf) with the
 // Cilkview scalability analyzer.  Here we compute both quantities exactly
-// by replaying the *same* decomposition decisions the real walkers make
-// (shared planning code in geometry/cuts.hpp) and composing costs over the
-// spawn tree:
+// by replaying the *same* decomposition decisions the real walker makes
+// (TrapWalker in core/trap.hpp, through the shared planning code in
+// geometry/cuts.hpp; STRAP is the same walk cutting one dimension at a
+// time) and composing costs over the spawn tree:
 //
 //   serial composition:    work adds, span adds
 //   parallel composition:  work adds, span takes the max plus a
 //                          Theta(lg r) spawning term for a parallel loop
 //                          of r iterations (as in the proof of Lemma 2)
+//
+// A dependency level holding a single subzoid is a serial composition: the
+// walker runs it inline, so it is charged no spawn.
 //
 // Base-case zoids contribute volume() * cost.point without visiting points,
 // so the analysis runs in time proportional to the recursion tree, not the
@@ -97,11 +101,13 @@ ZoidShapeKey<D> shape_key(
 
 inline double lg2(double x) { return x > 1 ? std::log2(x) : 0.0; }
 
-template <int D, bool Hyper>
+template <int D>
 class MetricsWalker {
  public:
-  MetricsWalker(const WalkContext<D>& ctx, const DagCosts& costs)
-      : ctx_(ctx), costs_(costs) {}
+  /// `max_dims` is TrapWalker's: D for TRAP, 1 for STRAP.
+  MetricsWalker(const WalkContext<D>& ctx, const DagCosts& costs,
+                int max_dims)
+      : ctx_(ctx), costs_(costs), max_dims_(max_dims) {}
 
   DagMetrics walk(const Zoid<D>& virtual_z) {
     const Zoid<D> z = ctx_.normalize(virtual_z);
@@ -116,16 +122,9 @@ class MetricsWalker {
 
  private:
   DagMetrics compute(const Zoid<D>& z) {
-    if constexpr (Hyper) {
-      const HyperCut<D> plan =
-          plan_hyperspace_cut(z, ctx_.sigma, ctx_.dx_threshold, ctx_.grid);
-      if (!plan.empty()) return hyper_levels(z, plan);
-    } else {
-      if (auto cut =
-              plan_first_cut(z, ctx_.sigma, ctx_.dx_threshold, ctx_.grid)) {
-        return serial_cut(z, cut->first, cut->second);
-      }
-    }
+    const HyperCut<D> plan = plan_hyperspace_cut(
+        z, ctx_.sigma, ctx_.dx_threshold, ctx_.grid, max_dims_);
+    if (!plan.empty()) return space_cut(z, plan);
     if (z.height() > ctx_.dt_threshold) {
       const auto halves = time_cut(z);
       DagMetrics m = walk(halves.first);
@@ -136,14 +135,19 @@ class MetricsWalker {
     return {units, units};
   }
 
-  /// TRAP: levels run serially; zoids within a level in parallel.
-  DagMetrics hyper_levels(const Zoid<D>& z, const HyperCut<D>& plan) {
+  /// Levels run serially; zoids within a level in parallel, except that a
+  /// level of one zoid runs inline.
+  DagMetrics space_cut(const Zoid<D>& z, const HyperCut<D>& plan) {
     SubzoidLevels<D> levels;
     collect_subzoids_by_level(z, plan, levels);
     DagMetrics total;
     for (int l = 0; l < levels.level_count; ++l) {
       const int n = levels.size(l);
       if (n == 0) continue;
+      if (n == 1) {
+        total += walk(levels.at(l, 0));
+        continue;
+      }
       const double r = static_cast<double>(n);
       DagMetrics level{costs_.spawn * r, costs_.spawn * lg2(r)};
       double max_span = 0;
@@ -158,30 +162,9 @@ class MetricsWalker {
     return total;
   }
 
-  /// STRAP: one dimension per step; blacks parallel, gray serialized.
-  DagMetrics serial_cut(const Zoid<D>& z, int dim, const DimCut& c) {
-    if (c.count == 2 && c.seam) {
-      DagMetrics m = walk(with_piece(z, dim, c.piece[0]));
-      m += walk(with_piece(z, dim, c.piece[1]));
-      return m;
-    }
-    if (c.count == 2) {
-      const DagMetrics a = walk(with_piece(z, dim, c.piece[0]));
-      const DagMetrics b = walk(with_piece(z, dim, c.piece[1]));
-      return {a.work + b.work + 2 * costs_.spawn,
-              std::max(a.span, b.span) + costs_.spawn};
-    }
-    const DagMetrics b1 = walk(with_piece(z, dim, c.piece[0]));
-    const DagMetrics g = walk(with_piece(z, dim, c.piece[1]));
-    const DagMetrics b3 = walk(with_piece(z, dim, c.piece[2]));
-    DagMetrics m{b1.work + b3.work + 2 * costs_.spawn,
-                 std::max(b1.span, b3.span) + costs_.spawn};
-    m += g;  // the gray piece is a synchronization point on its own
-    return m;
-  }
-
   const WalkContext<D>& ctx_;
   const DagCosts& costs_;
+  int max_dims_;
   std::unordered_map<ZoidShapeKey<D>, DagMetrics, ZoidShapeKeyHash<D>> memo_;
 };
 
@@ -191,16 +174,16 @@ class MetricsWalker {
 template <int D>
 DagMetrics analyze_trap(const WalkContext<D>& ctx, std::int64_t t0,
                         std::int64_t t1, const DagCosts& costs = {}) {
-  detail::MetricsWalker<D, true> walker(ctx, costs);
-  return walker.walk(Zoid<D>::box(t0, t1, ctx.grid));
+  return detail::MetricsWalker<D>(ctx, costs, D)
+      .walk(Zoid<D>::box(t0, t1, ctx.grid));
 }
 
 /// Work/span of STRAP over [t0, t1) x grid.
 template <int D>
 DagMetrics analyze_strap(const WalkContext<D>& ctx, std::int64_t t0,
                          std::int64_t t1, const DagCosts& costs = {}) {
-  detail::MetricsWalker<D, false> walker(ctx, costs);
-  return walker.walk(Zoid<D>::box(t0, t1, ctx.grid));
+  return detail::MetricsWalker<D>(ctx, costs, 1)
+      .walk(Zoid<D>::box(t0, t1, ctx.grid));
 }
 
 /// Work/span of the parallel loop nest: each time step is a parallel loop

@@ -1,19 +1,34 @@
 // Type-erased base cases: where the engines meet the kernel.
 //
-// TRAP, STRAP and the loop baselines only decide which zoid runs next; the
-// kernel lives in exactly two places, the interior and boundary clones of
-// the base case (§4).  The engines take those two clones as BaseCase<D>, a
-// non-owning function reference (object pointer + thunk, no allocation),
-// so each engine is compiled once per (D, policy) rather than once per
-// kernel.  The cost is one indirect call per base zoid or loops slab; the
-// thunk is flattened, so the kernel still inlines into its row loop.
+// The trapezoidal walker (TRAP, and STRAP as its one-dimension mode) and
+// the loop baselines only decide which zoid runs next; the kernel lives in
+// exactly two places, the interior and boundary clones of the base case
+// (§4).  The engines take those two clones as BaseCase<D>, a non-owning
+// function reference (object pointer + thunk, no allocation), so each
+// engine is compiled once per (D, policy) rather than once per kernel.
+// The cost is one indirect call per base zoid or loops slab; the thunk is
+// flattened, so the kernel still inlines into its row loop.
 #pragma once
 
 #include <memory>
 #include <type_traits>
 
 #include "geometry/zoid.hpp"
-#include "runtime/scheduler.hpp"
+
+#if defined(__GNUC__) || defined(__clang__)
+// Forces full inlining into the thunk.  The kernel reaches the leaf through
+// a deep chain of closures (row splitter -> row function -> user kernel ->
+// views); without flattening, the inliner's budget runs out before the
+// innermost stencil loop, which is then left scalar, costing ~5-10x on
+// memory-streaming kernels.  The thunk is the engines' only call into the
+// kernel, so it is the only function flattened: a flattened task body
+// would inline just the engine's own recursion, which adds text and
+// compile time but no speed.  Clang has no clang:: spelling for flatten;
+// it accepts the GNU one.
+#define POCHOIR_FLATTEN [[gnu::flatten]]
+#else
+#define POCHOIR_FLATTEN
+#endif
 
 namespace pochoir {
 

@@ -18,7 +18,8 @@ namespace pochoir {
 /// Which algorithm executes a Stencil::run-family call.
 enum class Algorithm {
   kTrap,          ///< TRAP: hyperspace cuts (the paper's contribution)
-  kStrap,         ///< STRAP: Frigo-Strumpen-style serial space cuts
+  kStrap,         ///< STRAP: TRAP cutting one dimension per space cut
+                  ///< (Frigo-Strumpen-style serial space cuts)
   kLoopsParallel, ///< parallel loop nest (cilk_for equivalent)
   kLoopsSerial,   ///< serial loop nest
 };

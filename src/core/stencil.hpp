@@ -44,7 +44,6 @@
 #include "core/loops.hpp"
 #include "core/options.hpp"
 #include "core/shape.hpp"
-#include "core/strap.hpp"
 #include "core/trap.hpp"
 #include "core/views.hpp"
 #include "core/walk_context.hpp"

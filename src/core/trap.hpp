@@ -1,19 +1,28 @@
-// TRAP — Pochoir's cache-oblivious parallel algorithm (Figure 2, §3).
+// TRAP — Pochoir's cache-oblivious parallel algorithm (Figure 2, §3) — and
+// STRAP, Frigo & Strumpen's serial space cuts, as its one-dimension mode.
 //
 // The walker recursively decomposes a zoid:
-//   1. Hyperspace cut: apply a parallel space cut to *every* dimension that
-//      admits one, all at once.  The 3^k subzoids fall into k+1 dependency
-//      levels (Lemma 1); levels run in order, zoids within a level in
-//      parallel.
+//   1. Hyperspace cut: apply a parallel space cut to every dimension that
+//      admits one, up to `max_dims` of them, lowest index first.  The 3^k
+//      subzoids fall into k+1 dependency levels (Lemma 1); levels run in
+//      order, zoids within a level in parallel, and a level holding one
+//      zoid runs inline.  TRAP cuts up to D dimensions at once.  STRAP cuts
+//      one, and with k = 1 the levels are exactly its order: the two blacks
+//      in parallel before the gray when upright and after it when inverted,
+//      the seam ring before the seam triangle.  A sequence of k space cuts
+//      therefore costs STRAP 2k parallel steps versus TRAP's k+1, which is
+//      the whole asymptotic difference analyzed in Theorems 3 and 5.
 //   2. Time cut: if no space cut applies and the height exceeds the
 //      coarsening threshold, halve the time dimension; lower before upper.
+//      Both algorithms perform identical time cuts, hence identical cache
+//      behaviour.
 //   3. Base case: hand the zoid to the interior or boundary base case (the
 //      two kernel clones of §4).
 //
 // The walker is policy-parameterized (serial vs work-stealing parallel) and
 // takes its base cases as type-erased BaseCase<D> references, so one
-// compiled walker per (D, policy) serves real execution, pointer-optimized
-// base cases, and traced simulation.
+// compiled walker per (D, policy) serves TRAP and STRAP, real execution,
+// pointer-optimized base cases, and traced simulation.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +40,16 @@ namespace pochoir {
 template <int D, typename Policy>
 class TrapWalker {
  public:
+  /// Cuts at most `max_dims` dimensions per space cut: D for TRAP, 1 for
+  /// STRAP.
   TrapWalker(const WalkContext<D>& ctx, const Policy& policy,
-             BaseCase<D> interior_base, BaseCase<D> boundary_base)
+             BaseCase<D> interior_base, BaseCase<D> boundary_base,
+             int max_dims)
       : ctx_(ctx),
         policy_(policy),
         interior_base_(interior_base),
-        boundary_base_(boundary_base) {}
+        boundary_base_(boundary_base),
+        max_dims_(max_dims) {}
 
   /// Processes every grid point of `z` in dependency order.
   void walk(const Zoid<D>& z) {
@@ -56,8 +69,8 @@ class TrapWalker {
     // off); a nullptr name makes the span a no-op.
     trace::Span span(depth <= ctx_.trace_depth ? "zoid" : nullptr, depth);
 
-    const HyperCut<D> plan =
-        plan_hyperspace_cut(z, ctx_.sigma, ctx_.dx_threshold, ctx_.grid);
+    const HyperCut<D> plan = plan_hyperspace_cut(
+        z, ctx_.sigma, ctx_.dx_threshold, ctx_.grid, max_dims_);
     if (!plan.empty()) {
       if (ctx_.stats != nullptr) ctx_.stats->on_space_cut();
       // Stack-resident buckets: the recursion node performs no heap
@@ -101,17 +114,29 @@ class TrapWalker {
   const Policy& policy_;
   BaseCase<D> interior_base_;
   BaseCase<D> boundary_base_;
+  int max_dims_;
 };
 
-/// Convenience runner: walks the full space-time box [t0, t1) x grid.  Any
-/// callable f(const Zoid<D>&) converts to the base-case parameters.
+/// Convenience runner: walks the full space-time box [t0, t1) x grid with
+/// TRAP.  Any callable f(const Zoid<D>&) converts to the base-case
+/// parameters.
 template <int D, typename Policy>
 void run_trap(const WalkContext<D>& ctx, const Policy& policy,
               std::int64_t t0, std::int64_t t1,
               std::type_identity_t<BaseCase<D>> interior_base,
               std::type_identity_t<BaseCase<D>> boundary_base) {
-  TrapWalker<D, Policy> walker(ctx, policy, interior_base, boundary_base);
-  walker.walk(Zoid<D>::box(t0, t1, ctx.grid));
+  TrapWalker<D, Policy>(ctx, policy, interior_base, boundary_base, D)
+      .walk(Zoid<D>::box(t0, t1, ctx.grid));
+}
+
+/// As run_trap, but with STRAP: one dimension cut per space cut.
+template <int D, typename Policy>
+void run_strap(const WalkContext<D>& ctx, const Policy& policy,
+               std::int64_t t0, std::int64_t t1,
+               std::type_identity_t<BaseCase<D>> interior_base,
+               std::type_identity_t<BaseCase<D>> boundary_base) {
+  TrapWalker<D, Policy>(ctx, policy, interior_base, boundary_base, 1)
+      .walk(Zoid<D>::box(t0, t1, ctx.grid));
 }
 
 }  // namespace pochoir

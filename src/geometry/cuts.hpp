@@ -162,15 +162,19 @@ struct HyperCut {
 
 /// Plans a hyperspace cut: tries a parallel space cut on every dimension
 /// whose width exceeds both the slope condition and the coarsening
-/// threshold.  An empty plan (k == 0) means no space cut applies.
+/// threshold, lowest index first, and stops once `max_dims` dimensions are
+/// cut.  max_dims = D is TRAP's hyperspace cut; max_dims = 1 is STRAP's
+/// serial space cut (Frigo & Strumpen cut one dimension per recursion
+/// step).  An empty plan (k == 0) means no space cut applies.
 template <int D>
 HyperCut<D> plan_hyperspace_cut(
     const Zoid<D>& z,
     const std::type_identity_t<std::array<std::int64_t, D>>& sigma,
     const std::type_identity_t<std::array<std::int64_t, D>>& dx_threshold,
-    const std::type_identity_t<std::array<std::int64_t, D>>& grid) {
+    const std::type_identity_t<std::array<std::int64_t, D>>& grid,
+    int max_dims = D) {
   HyperCut<D> plan;
-  for (int i = 0; i < D; ++i) {
+  for (int i = 0; i < D && plan.k < max_dims; ++i) {
     if (z.width(i) <= dx_threshold[i]) continue;
     if (auto cut = try_space_cut(z, i, sigma[i], grid[i])) {
       plan.dims[i] = *cut;
@@ -316,35 +320,6 @@ std::pair<Zoid<D>, Zoid<D>> time_cut(const Zoid<D>& z) {
     upper.x1[i] = z.x1[i] + z.dx1[i] * half;
   }
   return {lower, upper};
-}
-
-/// STRAP's serial space cut: the first dimension (lowest index) that admits
-/// a parallel space cut, or nullopt.  Frigo & Strumpen cut one dimension
-/// per recursion step; TRAP cuts all cuttable dimensions at once.
-template <int D>
-std::optional<std::pair<int, DimCut>> plan_first_cut(
-    const Zoid<D>& z,
-    const std::type_identity_t<std::array<std::int64_t, D>>& sigma,
-    const std::type_identity_t<std::array<std::int64_t, D>>& dx_threshold,
-    const std::type_identity_t<std::array<std::int64_t, D>>& grid) {
-  for (int i = 0; i < D; ++i) {
-    if (z.width(i) <= dx_threshold[i]) continue;
-    if (auto cut = try_space_cut(z, i, sigma[i], grid[i])) {
-      return std::make_pair(i, *cut);
-    }
-  }
-  return std::nullopt;
-}
-
-/// Replaces dimension `dim` of `z` with one piece of a DimCut.
-template <int D>
-Zoid<D> with_piece(const Zoid<D>& z, int dim, const Interval& v) {
-  Zoid<D> sub = z;
-  sub.x0[dim] = v.x0;
-  sub.x1[dim] = v.x1;
-  sub.dx0[dim] = v.dx0;
-  sub.dx1[dim] = v.dx1;
-  return sub;
 }
 
 }  // namespace pochoir

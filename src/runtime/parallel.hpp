@@ -5,7 +5,6 @@
 #include <array>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 
 #include "runtime/scheduler.hpp"
 
@@ -23,7 +22,7 @@ class StackTask final : public Task {
       : Task(group, /*heap_allocated=*/false), f_(&f) {}
 
  protected:
-  POCHOIR_FLATTEN void invoke() override { (*f_)(); }
+  void invoke() override { (*f_)(); }
 
  private:
   F* f_;
@@ -46,7 +45,7 @@ class RangeTask final : public Task {
   }
 
  protected:
-  POCHOIR_FLATTEN void invoke() override {
+  void invoke() override {
     for (std::int64_t i = lo_; i < hi_; ++i) (*body_)(i);
   }
 
@@ -187,12 +186,6 @@ void parallel_for_each_index(std::int64_t n, const Body& body) {
 struct SerialPolicy {
   static constexpr bool is_parallel = false;
 
-  template <typename F0, typename F1>
-  void invoke2(F0&& f0, F1&& f1) const {
-    f0();
-    f1();
-  }
-
   template <typename Body>
   void for_all(std::int64_t n, const Body& body) const {
     for (std::int64_t i = 0; i < n; ++i) body(i);
@@ -208,11 +201,6 @@ struct SerialPolicy {
 /// Execution policy using the work-stealing pool.
 struct ParallelPolicy {
   static constexpr bool is_parallel = true;
-
-  template <typename F0, typename F1>
-  void invoke2(F0&& f0, F1&& f1) const {
-    parallel_invoke(std::forward<F0>(f0), std::forward<F1>(f1));
-  }
 
   template <typename Body>
   void for_all(std::int64_t n, const Body& body) const {

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "support/error.hpp"
+
 namespace pochoir::rt {
 namespace {
 
@@ -76,9 +78,10 @@ Scheduler& Scheduler::instance() {
 }
 
 bool Scheduler::set_num_threads(int n) {
-  POCHOIR_ASSERT(n >= 1);
+  pochoir::detail::check_usage(n >= 1, "thread count must be >= 1");
+  if (live_instance_.load(std::memory_order_acquire) != nullptr) return false;
   requested_threads_.store(n);
-  return true;  // takes effect if instance() has not been constructed yet
+  return true;
 }
 
 Scheduler::Scheduler(int num_threads) : num_workers_(num_threads) {

@@ -57,25 +57,13 @@ class Task {
 
 namespace detail {
 
-#if defined(__GNUC__) || defined(__clang__)
-// Force full inlining of the task payload.  The payload is typically a deep
-// chain of closures (loop splitter -> slab body -> point function -> user
-// kernel -> views); without flattening, the inliner's budget runs out
-// inside this cold-looking virtual function and the innermost stencil loop
-// is left scalar, costing ~5-10x on memory-streaming kernels.  Clang has no
-// clang:: spelling for flatten; it accepts the GNU one.
-#define POCHOIR_FLATTEN [[gnu::flatten]]
-#else
-#define POCHOIR_FLATTEN
-#endif
-
 template <typename F>
 class TaskImpl final : public Task {
  public:
   TaskImpl(TaskGroup* group, F&& f) : Task(group), f_(std::move(f)) {}
 
  protected:
-  POCHOIR_FLATTEN void invoke() override { f_(); }
+  void invoke() override { f_(); }
 
  private:
   F f_;
@@ -89,7 +77,9 @@ class Scheduler {
   static Scheduler& instance();
 
   /// Overrides the worker count for schedulers created after this call.
-  /// Must be called before first use of instance(); returns false otherwise.
+  /// Must be called before first use of instance(); returns false, and
+  /// changes nothing, once the scheduler exists.  Throws pochoir::Error
+  /// if n < 1.
   static bool set_num_threads(int n);
 
   /// Number of worker threads (>= 1).

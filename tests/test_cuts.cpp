@@ -16,6 +16,17 @@ namespace {
 
 using Point1 = std::pair<std::int64_t, std::int64_t>;
 
+/// Replaces dimension `dim` of `z` with one piece of a DimCut.
+template <int D>
+Zoid<D> with_piece(const Zoid<D>& z, int dim, const Interval& v) {
+  Zoid<D> sub = z;
+  sub.x0[dim] = v.x0;
+  sub.x1[dim] = v.x1;
+  sub.dx0[dim] = v.dx0;
+  sub.dx1[dim] = v.dx1;
+  return sub;
+}
+
 /// All points of a 1D zoid as (t, x) pairs.
 std::set<Point1> points_of(const Zoid<1>& z) {
   std::set<Point1> pts;
@@ -241,9 +252,10 @@ TEST(FirstCut, PicksLowestCuttableDim) {
   const std::array<std::int64_t, 2> sigma = {1, 1};
   const std::array<std::int64_t, 2> thresh = {8, 1};
   const std::array<std::int64_t, 2> grid = {1 << 20, 1 << 20};
-  const auto cut = plan_first_cut(z, sigma, thresh, grid);
-  ASSERT_TRUE(cut.has_value());
-  EXPECT_EQ(cut->first, 1);
+  const auto plan = plan_hyperspace_cut(z, sigma, thresh, grid, 1);
+  ASSERT_EQ(plan.k, 1);
+  EXPECT_FALSE(plan.dims[0].has_value());
+  EXPECT_TRUE(plan.dims[1].has_value());
 }
 
 TEST(HyperCut, InvertedTrapezoidGrayGoesFirst) {

@@ -5,6 +5,7 @@
 #include "core/options.hpp"
 #include "core/walk_context.hpp"
 #include "stencils/heat.hpp"
+#include "stencils/wave.hpp"
 
 namespace pochoir {
 namespace {
@@ -97,6 +98,37 @@ TEST(DagMetrics, DeterministicAcrossCalls) {
   const DagMetrics b = analyze_trap(ctx, 0, 32);
   EXPECT_DOUBLE_EQ(a.work, b.work);
   EXPECT_DOUBLE_EQ(a.span, b.span);
+}
+
+// Exact work and span of Figure 9's smallest cases (uncoarsened, default
+// costs): 2D heat at N = 100 over 256 steps, 3D wave at N = 100 over 64.
+WalkContext<2> fig9_heat() {
+  return WalkContext<2>::make(stencils::heat_shape<2>(), {100, 100},
+                              Options<2>::uncoarsened());
+}
+
+WalkContext<3> fig9_wave() {
+  return WalkContext<3>::make(stencils::wave_shape(), {100, 100, 100},
+                              Options<3>::uncoarsened());
+}
+
+TEST(DagMetrics, Fig9StrapAndTrapSpanExact) {
+  const DagMetrics heat = analyze_strap(fig9_heat(), 0, 256);
+  EXPECT_EQ(heat.work, 8231567.0);
+  EXPECT_EQ(heat.span, 383319.0);
+  EXPECT_EQ(analyze_trap(fig9_heat(), 0, 256).span, 147914.78222090469);
+
+  const DagMetrics wave = analyze_strap(fig9_wave(), 0, 64);
+  EXPECT_EQ(wave.work, 201778135.0);
+  EXPECT_EQ(wave.span, 2189779.0);
+  EXPECT_EQ(analyze_trap(fig9_wave(), 0, 64).span, 209962.53719365498);
+}
+
+// A dependency level holding one subzoid runs inline and is charged no
+// spawn, as in the walker.
+TEST(DagMetrics, Fig9TrapWorkExact) {
+  EXPECT_EQ(analyze_trap(fig9_heat(), 0, 256).work, 7725367.0);
+  EXPECT_EQ(analyze_trap(fig9_wave(), 0, 64).work, 182140381.0);
 }
 
 TEST(DagMetrics, OneDimensionalTrapStrapParity) {

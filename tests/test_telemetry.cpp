@@ -60,10 +60,16 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined next to operator new, gcc 12 reports these malloc /
+// free pairs as mismatched new/delete (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace pochoir {
 namespace {
@@ -166,6 +172,34 @@ TEST(TelemetryCounters, Wave3DPointsConsistent) {
   const tel::WalkCounters d = tel::walk_stats().snapshot() - before;
   EXPECT_EQ(d.points_total(), static_cast<std::uint64_t>(n * n * n * steps));
   EXPECT_EQ(hist_sum(d.zoid_points_hist), d.base_cases());
+}
+
+/// STRAP's decomposition, pinned by its walk counters on fresh Stencils
+/// with the heuristic options: one periodic 2D and one Dirichlet 3D case.
+TEST(TelemetryCounters, StrapWalkCountersPinned) {
+  EnabledScope on(true);
+  const tel::WalkCounters heat =
+      run_heat2(512, 40, Algorithm::kStrap, /*periodic=*/true);
+  EXPECT_EQ(heat.space_cuts, 132u);
+  EXPECT_EQ(heat.time_cuts, 1024u);
+  EXPECT_EQ(heat.base_interior, 1040u);
+  EXPECT_EQ(heat.base_boundary, 240u);
+
+  const std::int64_t n = 64;
+  Array<double, 3> a({n, n, n}, stencils::wave_shape().depth());
+  a.register_boundary(dirichlet_boundary<double, 3>(0.0));
+  a.fill_time(0, [](const auto&) { return 1.0; });
+  a.fill_time(1, [](const auto&) { return 1.0; });
+  Stencil<3, double> wave(stencils::wave_shape());
+  wave.register_arrays(a);
+  auto kern = stencils::wave_kernel(0.1);
+  const tel::WalkCounters before = tel::walk_stats().snapshot();
+  wave.run_serial(Algorithm::kStrap, 20, kern);
+  const tel::WalkCounters d = tel::walk_stats().snapshot() - before;
+  EXPECT_EQ(d.space_cuts, 1445u);
+  EXPECT_EQ(d.time_cuts, 552u);
+  EXPECT_EQ(d.base_interior, 0u);
+  EXPECT_EQ(d.base_boundary, 3440u);
 }
 
 TEST(TelemetryCounters, SchedulerSpawnsEqualTasksRun) {
