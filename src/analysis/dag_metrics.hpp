@@ -13,7 +13,8 @@
 //                          of r iterations (as in the proof of Lemma 2)
 //
 // A dependency level holding a single subzoid is a serial composition: the
-// walker runs it inline, so it is charged no spawn.
+// walker's parallel loop over it is one chunk, and a one-chunk loop runs
+// inline, so it is charged no spawn.
 //
 // Base-case zoids contribute volume() * cost.point without visiting points,
 // so the analysis runs in time proportional to the recursion tree, not the

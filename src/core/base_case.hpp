@@ -6,7 +6,7 @@
 // (§4).  The engines take those two clones as BaseCase<D>, a non-owning
 // function reference (object pointer + thunk, no allocation), so each
 // engine is compiled once per (D, policy) rather than once per kernel.
-// The cost is one indirect call per base zoid or loops slab; the thunk is
+// The cost is one indirect call per base zoid or loops chunk; the thunk is
 // flattened, so the kernel still inlines into its row loop.
 #pragma once
 

@@ -2,18 +2,17 @@
 //
 // One serial loop over time; the outermost spatial dimension optionally
 // parallelized (the paper's cilk_for baseline).  Each time step is cut into
-// dim-0 slabs — one per outermost coordinate, or in 1D about eight chunks
-// per worker — and every slab runs as a height-1 zoid through the same two
-// base cases TRAP and STRAP use.  A slab that touches the grid edge goes to
-// the boundary base, which splits each row into a checked prefix, an
-// unchecked interior middle and a checked suffix (the ghost-cell trick the
-// paper's baseline mirrors), so interior points pay no boundary test.
-// Passing a checked base case for both clones gives the "check on every
-// access" variant used for the §4 ablation (2.3x degradation on periodic
-// heat).
+// dim-0 chunks by the policy (one chunk when serial; in parallel, the
+// contiguous chunks of rt::parallel_for_chunks), and every chunk runs as a
+// height-1 zoid through the same two base cases TRAP and STRAP use.  A
+// chunk that touches the grid edge goes to the boundary base, which splits
+// each row into a checked prefix, an unchecked interior middle and a
+// checked suffix (the ghost-cell trick the paper's baseline mirrors), so
+// interior points pay no boundary test.  Passing a checked base case for
+// both clones gives the "check on every access" variant used for the §4
+// ablation (2.3x degradation on periodic heat).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <type_traits>
 
@@ -33,32 +32,20 @@ void run_loops(const WalkContext<D>& ctx, const Policy& policy,
                std::type_identity_t<BaseCase<D>> boundary_base) {
   const auto& grid = ctx.grid;
   // Telemetry at time-step granularity: one spatial-volume increment per
-  // completed step, nothing inside the slabs.
+  // completed step, nothing inside the chunks.
   std::uint64_t step_points = 1;
   for (int i = 0; i < D; ++i) {
     step_points *= static_cast<std::uint64_t>(grid[static_cast<std::size_t>(i)]);
-  }
-  std::int64_t slabs = grid[0];
-  std::int64_t grain = 0;  // auto: ~8 chunks of slabs per worker
-  if constexpr (D == 1) {
-    // The grid is one row: one slab when serial, ~8 chunks per worker in
-    // parallel, so each base call still covers many points.
-    slabs = 1;
-    if constexpr (Policy::is_parallel) {
-      const std::int64_t target = 8 * rt::Scheduler::instance().num_threads();
-      slabs = grid[0] < target ? grid[0] : target;
-    }
-    grain = 1;
   }
   for (std::int64_t t = t0; t < t1; ++t) {
     // Cancellation unwinds between whole time steps; the loops engine has
     // no finer consistent boundary.
     if (ctx.should_stop()) return;
     trace::Span span(ctx.trace_depth >= 0 ? "loops_step" : nullptr, t);
-    policy.for_range(0, slabs, grain, [&](std::int64_t s) {
+    policy.for_chunks(grid[0], [&](std::int64_t lo, std::int64_t hi) {
       Zoid<D> z = Zoid<D>::box(t, t + 1, grid);
-      z.x0[0] = grid[0] * s / slabs;
-      z.x1[0] = grid[0] * (s + 1) / slabs;
+      z.x0[0] = lo;
+      z.x1[0] = hi;
       if (ctx.is_interior(z)) {
         interior_base(z);
       } else {

@@ -716,7 +716,7 @@ class Stencil {
   /// the ghost-cell trick applied inside boundary zoids.  This matters most
   /// for the paper's >=3D heuristic, where the unit-stride dimension is
   /// never cut and every zoid spans the full row, and for the loops
-  /// engine, whose edge slabs all land here.
+  /// engine, whose edge chunks all land here.
   template <typename RI, typename PB>
   auto make_boundary_base(const RI& ri, const PB& pb) const {
     const auto& reach = shape_.reaches();

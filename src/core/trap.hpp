@@ -5,13 +5,15 @@
 //   1. Hyperspace cut: apply a parallel space cut to every dimension that
 //      admits one, up to `max_dims` of them, lowest index first.  The 3^k
 //      subzoids fall into k+1 dependency levels (Lemma 1); levels run in
-//      order, zoids within a level in parallel, and a level holding one
-//      zoid runs inline.  TRAP cuts up to D dimensions at once.  STRAP cuts
-//      one, and with k = 1 the levels are exactly its order: the two blacks
-//      in parallel before the gray when upright and after it when inverted,
-//      the seam ring before the seam triangle.  A sequence of k space cuts
-//      therefore costs STRAP 2k parallel steps versus TRAP's k+1, which is
-//      the whole asymptotic difference analyzed in Theorems 3 and 5.
+//      order, and the zoids of a level are one parallel loop, the policy's
+//      for_chunks: one task per zoid up to rt::kMaxChunks, so a level
+//      holding one zoid runs inline.  TRAP cuts up to D dimensions at once.
+//      STRAP cuts one, and with k = 1 the levels are exactly its order: the
+//      two blacks in parallel before the gray when upright and after it
+//      when inverted, the seam ring before the seam triangle.  A sequence
+//      of k space cuts therefore costs STRAP 2k parallel steps versus
+//      TRAP's k+1, which is the whole asymptotic difference analyzed in
+//      Theorems 3 and 5.
 //   2. Time cut: if no space cut applies and the height exceeds the
 //      coarsening threshold, halve the time dimension; lower before upper.
 //      Both algorithms perform identical time cuts, hence identical cache
@@ -78,15 +80,12 @@ class TrapWalker {
       SubzoidLevels<D> levels;
       collect_subzoids_by_level(z, plan, levels);
       for (int l = 0; l < levels.level_count; ++l) {
-        const int n = levels.size(l);
-        if (n == 0) continue;
-        if (n == 1) {
-          walk_impl(levels.at(l, 0), interior, depth + 1);
-        } else {
-          policy_.for_all(n, [&](std::int64_t i) {
+        policy_.for_chunks(levels.size(l), [&](std::int64_t lo,
+                                               std::int64_t hi) {
+          for (std::int64_t i = lo; i < hi; ++i) {
             walk_impl(levels.at(l, static_cast<int>(i)), interior, depth + 1);
-          });
-        }
+          }
+        });
       }
       return;
     }

@@ -265,7 +265,9 @@ class ByteReader {
   }
 
   bool read_bytes(std::vector<unsigned char>& out, std::uint64_t n) {
-    if (pos_ + n > size_) return false;
+    // n comes from the file: compare against the bytes left, so a huge
+    // length cannot wrap the sum past the check.
+    if (n > size_ - pos_) return false;
     out.assign(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
     return true;

@@ -48,7 +48,8 @@ struct FaultPlan {
   /// Fire CancelToken::cancel() from the base-case hook during this slab,
   /// once `cancel_after_calls` kernel invocations have been handed out
   /// (mid-slab unwind).  The hook runs once per base case (a TRAP/STRAP
-  /// base zoid or a loops slab) and counts that base case's points, so
+  /// base zoid, or a loops chunk: a run of dim-0 planes of one time step,
+  /// the whole step when serial) and counts that base case's points, so
   /// the cancellation fires at the start of the base case that would make
   /// kernel call number cancel_after_calls + 1.
   std::int64_t cancel_at_slab = -1;

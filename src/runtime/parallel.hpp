@@ -1,53 +1,36 @@
-// Structured parallelism on top of the scheduler: the cilk_spawn / cilk_for
-// equivalents used by the stencil algorithms.
+// Structured parallelism on top of the scheduler: the one fork shape the
+// stencil algorithms use.  TRAP spawns the subzoids of one dependency level
+// (Lemma 1) and the loop baseline is a cilk_for over the outermost
+// dimension (Figure 1); both are loops over independent pieces, so
+// parallel_for_chunks is the only place a parallel region becomes tasks.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <type_traits>
 
 #include "runtime/scheduler.hpp"
 
 namespace pochoir::rt {
 
+/// Most chunks one parallel loop is split into: one task per subzoid for
+/// every level of a hyperspace cut up to 4D (at most 32 subzoids), and 8
+/// chunks per worker for the loops engine on a 4-core host.
+inline constexpr std::int64_t kMaxChunks = 32;
+
 namespace detail {
 
-/// Task whose payload lives in the spawning frame: zero heap traffic per
-/// fork.  The spawning scope must TaskGroup::wait() before the referenced
-/// callable (and this task) go out of scope.
-template <typename F>
-class StackTask final : public Task {
- public:
-  StackTask(TaskGroup* group, F& f)
-      : Task(group, /*heap_allocated=*/false), f_(&f) {}
-
- protected:
-  void invoke() override { (*f_)(); }
-
- private:
-  F* f_;
-};
-
-/// Stack-resident task covering an index range [lo, hi) of a parallel
-/// loop body.  Default-constructible so a fixed-capacity array of them can
-/// sit in the spawning frame; assign() binds one before spawn_prepared().
+/// One chunk [lo, hi) of a parallel loop, stored in the spawning frame.
 template <typename Body>
-class RangeTask final : public Task {
+class ChunkTask final : public Task {
  public:
-  RangeTask() : Task(nullptr, /*heap_allocated=*/false) {}
-
-  void assign(TaskGroup* group, const Body* body, std::int64_t lo,
-              std::int64_t hi) {
-    set_group(group);
+  void assign(const Body* body, std::int64_t lo, std::int64_t hi) {
     body_ = body;
     lo_ = lo;
     hi_ = hi;
   }
 
  protected:
-  void invoke() override {
-    for (std::int64_t i = lo_; i < hi_; ++i) (*body_)(i);
-  }
+  void invoke() override { (*body_)(lo_, hi_); }
 
  private:
   const Body* body_ = nullptr;
@@ -57,160 +40,65 @@ class RangeTask final : public Task {
 
 }  // namespace detail
 
-/// Run two callables potentially in parallel; returns when both finish.
-/// The forked task lives on this frame's stack — no allocation per fork.
-/// If either callable throws, the other still completes before the first
-/// exception propagates (stack-resident storage must quiesce first).
-template <typename F0, typename F1>
-void parallel_invoke(F0&& f0, F1&& f1) {
-  if (Scheduler::instance().num_threads() == 1) {
-    f0();
-    f1();
-    return;
-  }
-  TaskGroup group;
-  detail::StackTask<std::remove_reference_t<F1>> t1(&group, f1);
-  group.spawn_prepared(&t1);
-  try {
-    f0();
-  } catch (...) {
-    group.wait_quiet();
-    throw;
-  }
-  group.wait();
-}
-
-/// Run three callables potentially in parallel.
-template <typename F0, typename F1, typename F2>
-void parallel_invoke(F0&& f0, F1&& f1, F2&& f2) {
-  if (Scheduler::instance().num_threads() == 1) {
-    f0();
-    f1();
-    f2();
-    return;
-  }
-  TaskGroup group;
-  detail::StackTask<std::remove_reference_t<F1>> t1(&group, f1);
-  detail::StackTask<std::remove_reference_t<F2>> t2(&group, f2);
-  group.spawn_prepared(&t1);
-  group.spawn_prepared(&t2);
-  try {
-    f0();
-  } catch (...) {
-    group.wait_quiet();
-    throw;
-  }
-  group.wait();
-}
-
-namespace detail {
-
+/// Calls body(chunk_lo, chunk_hi) on contiguous chunks tiling [lo, hi): at
+/// most kMaxChunks of them, each at least `grain` long (a grain below 1
+/// counts as 1).  Chunk 0 runs on the calling thread and the others as
+/// tasks in this frame, so a fork allocates nothing; with one thread the
+/// whole range is one chunk.  If a chunk throws, every other chunk still
+/// finishes before the first exception propagates, because the task
+/// storage must quiesce before the frame unwinds.
 template <typename Body>
-void parallel_for_split(std::int64_t lo, std::int64_t hi, std::int64_t grain,
-                        const Body& body, TaskGroup& group) {
-  while (hi - lo > grain) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    group.spawn([mid, hi, grain, &body, &group] {
-      parallel_for_split(mid, hi, grain, body, group);
-    });
-    hi = mid;
+void parallel_for_chunks(std::int64_t lo, std::int64_t hi, std::int64_t grain,
+                         const Body& body) {
+  const std::int64_t n = hi - lo;
+  if (n <= 0) return;
+  std::int64_t chunks = grain > 1 ? n / grain : n;
+  if (chunks > kMaxChunks) chunks = kMaxChunks;
+  if (chunks <= 1 || Scheduler::instance().num_threads() == 1) {
+    body(lo, hi);
+    return;
   }
-  for (std::int64_t i = lo; i < hi; ++i) body(i);
+  const auto bound = [&](std::int64_t i) { return lo + i * n / chunks; };
+  TaskGroup group;
+  std::array<detail::ChunkTask<Body>, kMaxChunks - 1> tasks;  // chunks 1..
+  for (std::int64_t i = 1; i < chunks; ++i) {
+    auto& task = tasks[static_cast<std::size_t>(i - 1)];
+    task.assign(&body, bound(i), bound(i + 1));
+    group.spawn(&task);
+  }
+  try {
+    body(lo, bound(1));
+  } catch (...) {
+    group.wait_quiet();
+    throw;
+  }
+  group.wait();
 }
 
-}  // namespace detail
-
-/// Parallel loop over [lo, hi) with recursive binary splitting (span
-/// Θ(lg n) like cilk_for).  `grain` is the maximum serial chunk; pass 0 to
-/// auto-select ~8 chunks per worker.
+/// Parallel loop calling body(i) for every i in [lo, hi), chunked as
+/// parallel_for_chunks does.
 template <typename Body>
 void parallel_for(std::int64_t lo, std::int64_t hi, std::int64_t grain,
                   const Body& body) {
-  if (hi <= lo) return;
-  const std::int64_t n = hi - lo;
-  if (grain <= 0) {
-    const std::int64_t workers = Scheduler::instance().num_threads();
-    grain = n / (8 * workers);
-    if (grain < 1) grain = 1;
-  }
-  if (n <= grain) {
-    for (std::int64_t i = lo; i < hi; ++i) body(i);
-    return;
-  }
-  TaskGroup group;
-  try {
-    detail::parallel_for_split(lo, hi, grain, body, group);
-  } catch (...) {
-    group.wait_quiet();
-    throw;
-  }
-  group.wait();
+  parallel_for_chunks(lo, hi, grain, [&body](std::int64_t a, std::int64_t b) {
+    for (std::int64_t i = a; i < b; ++i) body(i);
+  });
 }
 
-/// Parallel loop with grain 1 over a small index range (used for the
-/// subzoid buckets of a hyperspace cut, which are individually large).
-/// All tasks live on this frame's stack: a bucket of n subzoids costs zero
-/// heap allocations and at most kMaxInlineTasks spawns — beyond that,
-/// indices are chunked so spawn count stays O(1) per bucket rather than
-/// O(subzoids).
-template <typename Body>
-void parallel_for_each_index(std::int64_t n, const Body& body) {
-  if (n <= 0) return;
-  if (n == 1 || Scheduler::instance().num_threads() == 1) {
-    for (std::int64_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  // 3^3 covers every bucket of a <=3D hyperspace cut task-per-subzoid;
-  // larger buckets (4D+) get contiguous chunks.
-  constexpr std::int64_t kMaxInlineTasks = 27;
-  const std::int64_t tasks = n < kMaxInlineTasks ? n : kMaxInlineTasks;
-  TaskGroup group;
-  std::array<detail::RangeTask<Body>, kMaxInlineTasks> storage;
-  for (std::int64_t i = 1; i < tasks; ++i) {
-    storage[static_cast<std::size_t>(i)].assign(&group, &body, i * n / tasks,
-                                                (i + 1) * n / tasks);
-    group.spawn_prepared(&storage[static_cast<std::size_t>(i)]);
-  }
-  // Chunk 0 runs inline on the calling thread.
-  try {
-    for (std::int64_t i = 0; i < n / tasks; ++i) body(i);
-  } catch (...) {
-    group.wait_quiet();
-    throw;
-  }
-  group.wait();
-}
-
-/// Execution policy running everything serially (used for 1-core baselines
-/// and for deterministic instrumented runs).
+/// Execution policy running everything on the calling thread (1-core
+/// baselines and deterministic instrumented runs): a loop is one chunk.
 struct SerialPolicy {
-  static constexpr bool is_parallel = false;
-
   template <typename Body>
-  void for_all(std::int64_t n, const Body& body) const {
-    for (std::int64_t i = 0; i < n; ++i) body(i);
-  }
-
-  template <typename Body>
-  void for_range(std::int64_t lo, std::int64_t hi, std::int64_t /*grain*/,
-                 const Body& body) const {
-    for (std::int64_t i = lo; i < hi; ++i) body(i);
+  void for_chunks(std::int64_t n, const Body& body) const {
+    if (n > 0) body(0, n);
   }
 };
 
 /// Execution policy using the work-stealing pool.
 struct ParallelPolicy {
-  static constexpr bool is_parallel = true;
-
   template <typename Body>
-  void for_all(std::int64_t n, const Body& body) const {
-    parallel_for_each_index(n, body);
-  }
-
-  template <typename Body>
-  void for_range(std::int64_t lo, std::int64_t hi, std::int64_t grain,
-                 const Body& body) const {
-    parallel_for(lo, hi, grain, body);
+  void for_chunks(std::int64_t n, const Body& body) const {
+    parallel_for_chunks(0, n, 1, body);
   }
 };
 

@@ -54,20 +54,18 @@ std::atomic<Scheduler*> Scheduler::live_instance_{nullptr};
 
 void Task::run_and_release() {
   TaskGroup* group = group_;
-  const bool heap_allocated = heap_allocated_;
   try {
     invoke();
   } catch (...) {
     // A throwing payload must not unwind into the worker loop (that would
     // terminate the process); park the exception in the group, which
     // rethrows it from wait() on the joining thread.
-    if (group != nullptr) group->capture_exception(std::current_exception());
+    group->capture_exception(std::current_exception());
   }
-  // finish_one() must come last: for stack-resident tasks it is the signal
-  // that lets the spawning frame's wait() return and reclaim the storage,
-  // so `this` must not be touched afterwards.
-  if (heap_allocated) delete this;
-  if (group != nullptr) group->finish_one();
+  // finish_one() must come last: it is the signal that lets the spawning
+  // frame's wait() return and reclaim the storage, so `this` must not be
+  // touched afterwards.
+  group->finish_one();
 }
 
 Scheduler& Scheduler::instance() {

@@ -1,9 +1,10 @@
 // Fork–join work-stealing scheduler: the Cilk Plus substrate of the paper.
 //
 // The paper's algorithms are expressed with spawn/sync (cilk_spawn) and
-// parallel loops (cilk_for).  This module provides the same programming
-// model: a TaskGroup supports spawn() + wait() fork-join regions, and
-// parallel.hpp layers parallel_invoke / parallel_for on top.
+// parallel loops (cilk_for).  Both are loops over independent pieces here:
+// a TaskGroup supports spawn() + wait() fork-join regions over tasks that
+// live in the spawning frame, and parallel.hpp's parallel_for_chunks is the
+// one place a parallel region becomes such tasks.
 //
 // Architecture: one worker thread per core (configurable), each owning a
 // Chase–Lev deque.  Owners push/pop LIFO for locality; idle workers steal
@@ -20,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "runtime/task_deque.hpp"
@@ -31,44 +31,23 @@ namespace pochoir::rt {
 
 class TaskGroup;
 
-/// Type-erased unit of work.  Heap-allocated tasks (TaskGroup::spawn) are
-/// deleted by whichever thread executes them; stack-resident tasks
-/// (TaskGroup::spawn_prepared) are owned by the spawning frame, which must
-/// wait() on the group before the storage goes out of scope.
+/// Type-erased unit of work.  Every task lives in the frame that spawns it
+/// (TaskGroup::spawn), which owns it until the group's wait() returns.
 class Task {
  public:
-  explicit Task(TaskGroup* group, bool heap_allocated = true)
-      : group_(group), heap_allocated_(heap_allocated) {}
-  virtual ~Task() = default;
-  /// Runs the payload, releases heap storage, and notifies the owning
-  /// group.  `this` is dead after the call either way: deleted if
-  /// heap-allocated, or up for reclamation by the spawning frame the
-  /// moment finish_one() lets its wait() return.
+  /// Runs the payload and notifies the owning group.  `this` is dead after
+  /// the call: the spawning frame may reclaim it the moment finish_one()
+  /// lets its wait() return.
   void run_and_release();
 
  protected:
+  ~Task() = default;  // the scheduler never deletes a task
   virtual void invoke() = 0;
-  void set_group(TaskGroup* group) { group_ = group; }
 
  private:
-  TaskGroup* group_;
-  bool heap_allocated_;
+  friend class TaskGroup;
+  TaskGroup* group_ = nullptr;
 };
-
-namespace detail {
-
-template <typename F>
-class TaskImpl final : public Task {
- public:
-  TaskImpl(TaskGroup* group, F&& f) : Task(group), f_(std::move(f)) {}
-
- protected:
-  void invoke() override { f_(); }
-
- private:
-  F f_;
-};
-}  // namespace detail
 
 /// Global work-stealing thread pool.  Created lazily on first use.
 class Scheduler {
@@ -165,18 +144,10 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Fork `f` to run asynchronously within this group.
-  template <typename F>
-  void spawn(F&& f) {
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    auto* task = new detail::TaskImpl<std::decay_t<F>>(this, std::forward<F>(f));
-    Scheduler::instance().submit(task);
-  }
-
-  /// Fork a pre-constructed task whose storage outlives this group's
-  /// wait() — e.g. a stack-resident task built with heap_allocated=false.
-  /// The hot-path alternative to spawn(): no heap traffic per fork.
-  void spawn_prepared(Task* task) {
+  /// Fork `task` to run asynchronously within this group.  Its storage
+  /// must outlive this group's wait(); nothing is allocated per fork.
+  void spawn(Task* task) {
+    task->group_ = this;
     pending_.fetch_add(1, std::memory_order_relaxed);
     Scheduler::instance().submit(task);
   }
@@ -197,10 +168,6 @@ class TaskGroup {
 
   /// Rethrows the captured exception, if any (cleared afterwards).
   void rethrow_any();
-
-  [[nodiscard]] bool has_error() const {
-    return has_error_.load(std::memory_order_acquire);
-  }
 
  private:
   std::atomic<std::int64_t> pending_{0};

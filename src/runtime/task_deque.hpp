@@ -72,7 +72,7 @@ class TaskDeque {
     std::int64_t b = bottom_.load(std::memory_order_acquire);
     Task* task = nullptr;
     if (t < b) {
-      Buffer* buf = buffer_.load(std::memory_order_consume);
+      Buffer* buf = buffer_.load(std::memory_order_acquire);
       task = buf->get(t);
       if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
@@ -97,11 +97,14 @@ class TaskDeque {
     const std::int64_t mask;  // capacity is always a power of two
     std::unique_ptr<std::atomic<Task*>[]> slots;
 
+    // The fences in push() and steal() already order each hand-off, but
+    // ThreadSanitizer does not model fences: release/acquire on the slot
+    // is what lets it see a task's contents published to its taker.
     Task* get(std::int64_t i) const {
-      return slots[i & mask].load(std::memory_order_relaxed);
+      return slots[i & mask].load(std::memory_order_acquire);
     }
     void put(std::int64_t i, Task* task) {
-      slots[i & mask].store(task, std::memory_order_relaxed);
+      slots[i & mask].store(task, std::memory_order_release);
     }
   };
 

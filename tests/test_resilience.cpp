@@ -312,6 +312,38 @@ TEST(ResilienceCheckpoint, TruncatedNewestFallsBack) {
   EXPECT_TRUE(storage_equal(b, fx.ref));
 }
 
+TEST(ResilienceCheckpoint, HugePayloadLengthFallsBack) {
+  CheckpointFixture fx("huge_payload_length");
+  fx.populate();
+  const std::string newest = rs::list_checkpoints(fx.base).back().second;
+  std::vector<unsigned char> raw(fs::file_size(newest));
+  std::FILE* f = std::fopen(newest.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fread(raw.data(), 1, raw.size(), f), raw.size());
+  std::fclose(f);
+  // The fixture's one 2D array has its payload length at byte 76.
+  constexpr std::size_t kLengthAt = 76;
+  std::uint64_t length = 0;
+  std::memcpy(&length, raw.data() + kLengthAt, sizeof length);
+  ASSERT_EQ(length, rs::load_checkpoint_file(newest)->arrays[0].bytes.size());
+  // A CRC-valid generation whose length, 2^64 - 17, wraps pos + length.
+  length = ~std::uint64_t{0} - 16;
+  std::memcpy(raw.data() + kLengthAt, &length, sizeof length);
+  const std::size_t body = raw.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc = rs::crc32c(0, raw.data(), body);
+  std::memcpy(raw.data() + body, &crc, sizeof crc);
+  f = std::fopen(newest.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), f), raw.size());
+  std::fclose(f);
+
+  EXPECT_FALSE(rs::load_checkpoint_file(newest).has_value());
+  Array<double, 2> b({20, 20}, 1);
+  const rs::RunReport rep = fx.resume_fresh(b);
+  ASSERT_TRUE(rep.ok()) << rep.message;
+  EXPECT_TRUE(storage_equal(b, fx.ref));
+}
+
 TEST(ResilienceCheckpoint, AllGenerationsCorruptReportsError) {
   CheckpointFixture fx("corrupt_all");
   fx.populate();
@@ -675,10 +707,11 @@ TEST(AtomicFile, FailHookConsumesOneAttemptThenSucceeds) {
 // --- scheduler abort propagation --------------------------------------------
 
 TEST(SchedulerResilience, ExceptionInSpawnedTaskPropagatesFromWait) {
-  EXPECT_THROW(
-      rt::parallel_invoke([] {},
-                          [] { throw Error("task boom"); }),
-      Error);
+  EXPECT_THROW(rt::parallel_for(0, 2, 1,
+                                [](std::int64_t i) {
+                                  if (i == 1) throw Error("task boom");
+                                }),
+               Error);
   EXPECT_THROW(rt::parallel_for(0, 1024, 8,
                                 [](std::int64_t i) {
                                   if (i == 777) throw Error("loop boom");

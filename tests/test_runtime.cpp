@@ -1,9 +1,14 @@
 // Tests for the work-stealing runtime (the Cilk substrate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/parallel.hpp"
@@ -69,14 +74,62 @@ TEST(ParallelFor, EveryIndexExactlyOnce) {
   }
 }
 
-TEST(ParallelInvoke, BothRun) {
-  std::atomic<int> flags{0};
-  parallel_invoke([&] { flags.fetch_or(1); }, [&] { flags.fetch_or(2); });
-  EXPECT_EQ(flags.load(), 3);
-  flags = 0;
-  parallel_invoke([&] { flags.fetch_or(1); }, [&] { flags.fetch_or(2); },
-                  [&] { flags.fetch_or(4); });
-  EXPECT_EQ(flags.load(), 7);
+TEST(ParallelFor, ChunksTileTheRange) {
+  const bool pool = Scheduler::instance().num_threads() > 1;
+  constexpr std::int64_t lo = 17;
+  for (const std::int64_t n : {1, 5, 31, 32, 33, 1000}) {
+    for (const std::int64_t grain : {0, 1, 7, 2000}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " grain " << grain);
+      std::mutex mutex;
+      std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
+      parallel_for_chunks(lo, lo + n, grain,
+                          [&](std::int64_t a, std::int64_t b) {
+                            std::lock_guard<std::mutex> lock(mutex);
+                            chunks.emplace_back(a, b);
+                          });
+      std::sort(chunks.begin(), chunks.end());
+      ASSERT_FALSE(chunks.empty());
+      EXPECT_LE(static_cast<std::int64_t>(chunks.size()), kMaxChunks);
+      if (pool) {
+        // The fan-out itself: as many chunks as the grain allows, up to
+        // kMaxChunks.
+        const std::int64_t fit = n / std::max<std::int64_t>(grain, 1);
+        EXPECT_EQ(static_cast<std::int64_t>(chunks.size()),
+                  std::clamp<std::int64_t>(fit, 1, kMaxChunks));
+      }
+      std::int64_t next = lo;  // disjoint and covering [lo, lo + n)
+      for (const auto& [a, b] : chunks) {
+        EXPECT_EQ(a, next);
+        EXPECT_LT(a, b);
+        if (chunks.size() > 1) {
+          EXPECT_GE(b - a, grain);
+        }
+        next = b;
+      }
+      EXPECT_EQ(next, lo + n);
+    }
+  }
+
+  // A throw in chunk 0 (inline) or in the last chunk (a task) propagates,
+  // but only once every other chunk has finished: their task storage lives
+  // in the frame the exception unwinds.
+  const int others = pool ? static_cast<int>(kMaxChunks) - 1 : 0;
+  for (const bool inline_chunk : {true, false}) {
+    constexpr std::int64_t n = 64;
+    std::atomic<int> finished{0};
+    EXPECT_THROW(
+        parallel_for_chunks(0, n, 1,
+                            [&](std::int64_t a, std::int64_t b) {
+                              if (inline_chunk ? a == 0 : b == n) {
+                                throw Error("chunk boom");
+                              }
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(1));
+                              finished.fetch_add(1);
+                            }),
+        Error);
+    EXPECT_EQ(finished.load(), others) << "inline chunk " << inline_chunk;
+  }
 }
 
 std::int64_t parallel_fib(int n) {
@@ -84,10 +137,11 @@ std::int64_t parallel_fib(int n) {
   if (n < 12) {  // serial cutoff
     return parallel_fib(n - 1) + parallel_fib(n - 2);
   }
-  std::int64_t a = 0, b = 0;
-  parallel_invoke([&] { a = parallel_fib(n - 1); },
-                  [&] { b = parallel_fib(n - 2); });
-  return a + b;
+  std::int64_t r[2] = {0, 0};
+  parallel_for(0, 2, 1, [&](std::int64_t i) {
+    r[i] = parallel_fib(n - 1 - static_cast<int>(i));
+  });
+  return r[0] + r[1];
 }
 
 TEST(Scheduler, NestedForkJoinFib) {
@@ -107,9 +161,7 @@ TEST(Scheduler, DeepNestedParallelFor) {
 TEST(Scheduler, ManySmallGroups) {
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> n{0};
-    TaskGroup g;
-    for (int i = 0; i < 8; ++i) g.spawn([&] { n.fetch_add(1); });
-    g.wait();
+    parallel_for(0, 8, 1, [&](std::int64_t) { n.fetch_add(1); });
     ASSERT_EQ(n.load(), 8);
   }
 }
@@ -128,7 +180,11 @@ TEST(Scheduler, SetNumThreadsRejectsNonPositive) {
 TEST(Policies, SerialPolicyRunsInline) {
   SerialPolicy pol;
   std::vector<int> order;
-  pol.for_all(3, [&](std::int64_t i) { order.push_back(10 + static_cast<int>(i)); });
+  pol.for_chunks(3, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      order.push_back(10 + static_cast<int>(i));
+    }
+  });
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 10);
   EXPECT_EQ(order[2], 12);
@@ -137,10 +193,14 @@ TEST(Policies, SerialPolicyRunsInline) {
 TEST(Policies, ParallelPolicyCompletesAll) {
   ParallelPolicy pol;
   std::atomic<int> n{0};
-  pol.for_all(100, [&](std::int64_t) { n.fetch_add(1); });
+  pol.for_chunks(100, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) n.fetch_add(1);
+  });
   EXPECT_EQ(n.load(), 100);
-  std::atomic<int> m{0};
-  pol.for_range(10, 110, 0, [&](std::int64_t) { m.fetch_add(1); });
+  std::atomic<std::int64_t> m{0};
+  pol.for_chunks(100, [&](std::int64_t lo, std::int64_t hi) {
+    m.fetch_add(hi - lo);
+  });
   EXPECT_EQ(m.load(), 100);
 }
 

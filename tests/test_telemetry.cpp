@@ -20,6 +20,7 @@
 
 #include "core/boundary.hpp"
 #include "core/stencil.hpp"
+#include "runtime/parallel.hpp"
 #include "runtime/scheduler.hpp"
 #include "stencils/common.hpp"
 #include "stencils/heat.hpp"
@@ -208,15 +209,15 @@ TEST(TelemetryCounters, SchedulerSpawnsEqualTasksRun) {
   const tel::SchedulerCounters before = rt::Scheduler::counters_now();
   constexpr int kTasks = 64;
   std::atomic<int> ran{0};
-  rt::TaskGroup group;
-  for (int i = 0; i < kTasks; ++i) {
-    group.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.wait();
-  (void)sched;
+  rt::parallel_for(0, kTasks, 1, [&ran](std::int64_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
   const tel::SchedulerCounters d = rt::Scheduler::counters_now() - before;
   EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_EQ(d.spawns, static_cast<std::uint64_t>(kTasks));
+  // Chunk 0 runs inline; with one thread the whole loop does.
+  const std::uint64_t spawns =
+      sched.num_threads() > 1 ? rt::kMaxChunks - 1 : 0;
+  EXPECT_EQ(d.spawns, spawns);
   EXPECT_EQ(d.tasks_run, d.spawns);  // every spawned task ran exactly once
   EXPECT_LE(d.steals, d.tasks_run);
 }
@@ -429,13 +430,14 @@ TEST(TelemetryOverhead, DisabledAndCounterOnlyPathsAreAllocationFree) {
   (void)tel::walk_stats().snapshot();
   (void)trace::Tracer::instance().active();
 
-  // Every engine on the calling thread, plus a default-options supervised
-  // run (parallel TRAP behind the supervisor).
+  // Every engine on the calling thread, the parallel loops, and a
+  // default-options supervised run (parallel TRAP behind the supervisor).
   auto run_all = [&] {
     for (Algorithm alg : {Algorithm::kTrap, Algorithm::kStrap,
                           Algorithm::kLoopsParallel, Algorithm::kLoopsSerial}) {
       heat.run_serial(alg, steps, kern);
     }
+    heat.run(Algorithm::kLoopsParallel, steps, kern);
     (void)heat.run_supervised(steps, kern);
   };
   run_all();  // creates the scheduler pool outside the measured region
