@@ -5,9 +5,13 @@
 //  on every array index ... the runtime of the modular-indexing
 //  implementation degraded by a factor of 2.3."
 //
-// Here: TRAP with interior/boundary clones (checks only in boundary zoids)
-// versus TRAP with the checked clone everywhere (every access boundary-
-// tested and wrapped).
+// Here: TRAP with interior/boundary clones (checks only on the reach-wide
+// flanks of boundary-zoid rows) versus TRAP with the checked clone
+// everywhere (run_cloned with a BoundaryView kernel for both clones).  The
+// checked variant tests every access against the grid and sends off-grid
+// reads through the periodic boundary function's modulo.  In both variants
+// the home coordinate costs no modulo per point: the boundary clone maps
+// each seam row to true coordinates once.
 #include <cstdio>
 
 #include "bench_common.hpp"

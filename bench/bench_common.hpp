@@ -99,11 +99,14 @@ class JsonReport {
 
   /// One measured configuration.  `mpoints` is millions of space-time grid
   /// point updates per wall-clock second.  Pass the session's RunTelemetry
-  /// to attach a "telemetry" block to the row.
+  /// to attach a "telemetry" block to the row, and a `spread` >= 0 (the
+  /// reps' interquartile range over their median, when `seconds` is a
+  /// median) to add a "spread" field.
   void add(const std::string& kernel, const std::string& grid,
            std::int64_t steps, const std::string& config, double seconds,
-           double mpoints, const telemetry::RunTelemetry* tel = nullptr) {
-    Record r{kernel, grid, steps, config, seconds, mpoints, {}, false};
+           double mpoints, const telemetry::RunTelemetry* tel = nullptr,
+           double spread = -1) {
+    Record r{kernel, grid, steps, config, seconds, mpoints, spread, {}, false};
     if (tel != nullptr) {
       r.tel = *tel;
       r.has_tel = true;
@@ -148,6 +151,10 @@ class JsonReport {
             rt::Scheduler::instance().num_threads(), scale(), r.seconds,
             r.mpoints);
         if (n < 0) return false;
+        if (r.spread >= 0 &&
+            std::fprintf(f, ", \"spread\": %.4f", r.spread) < 0) {
+          return false;
+        }
         if (r.has_tel) {
           const std::string tel =
               telemetry::to_json(r.tel, /*include_label=*/false);
@@ -177,6 +184,7 @@ class JsonReport {
     std::string config;
     double seconds;
     double mpoints;
+    double spread;
     telemetry::RunTelemetry tel;
     bool has_tel;
   };

@@ -1,8 +1,12 @@
 // Figure 13 — throughput of the two loop-indexing optimizations on the 2D
 // periodic heat equation (grid points per second vs N):
-//   -split-pointer      -> LinearStencil pointer-walking base case
+//   -split-pointer      -> LinearStencil's pointer-walking row clone
 //   -split-macro-shadow -> generic kernel through unchecked interior views
 //                          (address computed per access, no bounds checks)
+// Both run through the same leaf: interior zoids call the row clone on
+// every row, boundary zoids on the unchecked middle of each row, with the
+// checked clone on the reach-wide flanks.  The columns therefore differ
+// only in the row code, as the two postsources of Figure 12 do.
 #include <cstdio>
 
 #include "bench_common.hpp"

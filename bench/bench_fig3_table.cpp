@@ -2,8 +2,15 @@
 //   Pochoir on 1 core, Pochoir on all cores, serial loops, parallel loops,
 // reporting times, Pochoir self-speedup, and the loops/Pochoir ratios.
 //
+// Only the run is timed.  Each configuration builds its grid (allocation,
+// fill, registration) outside the timer, runs once untimed to warm up, and
+// then runs kReps timed reps, each on a freshly built and filled grid.
+// The table and every JSON row report the median of the reps and their
+// spread, the distance between the quartiles over the median.
+//
 // Grids are scaled from the paper's 12-core sizes (e.g. Heat 2 was
 // 16,000^2 x 500 there); the *ratios* are the reproduction target.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -27,52 +34,80 @@
 namespace pochoir::bench {
 namespace {
 
+/// Timed reps per configuration, after one untimed warm-up.
+constexpr int kReps = 5;
+
+/// The reps of one configuration: their median and spread (interquartile
+/// range over the median; quartiles interpolated between order statistics).
+struct Timing {
+  double median = 0;
+  double spread = 0;
+};
+
+Timing summarize(std::vector<double> secs) {
+  std::sort(secs.begin(), secs.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(secs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, secs.size() - 1);
+    return secs[lo] + (pos - static_cast<double>(lo)) * (secs[hi] - secs[lo]);
+  };
+  const double median = quantile(0.5);
+  return {median, (quantile(0.75) - quantile(0.25)) / median};
+}
+
 struct Row {
   std::string name;
   std::string dims;
   std::string grid;
   std::int64_t steps;
   std::int64_t space_points;  // spatial grid points per time step
-  double pochoir_1core;
-  double pochoir_pcore;
-  double serial_loops;
-  double parallel_loops;
+  // trap_1core, trap_pcore, loops_serial, loops_parallel
+  std::array<Timing, 4> time{};
   std::string paper_note;  // the paper's reported speedup / ratios
-  // Per-config telemetry, populated only when POCHOIR_TELEMETRY (or
-  // POCHOIR_TRACE) is set — the default timed path stays untouched.
+  // Per-config telemetry of the first timed rep, populated only when
+  // POCHOIR_TELEMETRY (or POCHOIR_TRACE) is set — the default timed path
+  // stays untouched.
   std::array<telemetry::RunTelemetry, 4> tel{};
 };
 
-/// Runs one benchmark in all four configurations.  Each config runs inside
-/// a trace::Session, which is a pair of counter snapshots when telemetry is
-/// off and additionally feeds the trace/registry exports when it is on.
+/// Runs one benchmark in all four configurations.  The first timed rep of
+/// each config runs inside a trace::Session, which is a pair of counter
+/// snapshots when telemetry is off and additionally feeds the
+/// trace/registry exports when it is on.
 template <typename Setup>
 Row run_benchmark(const std::string& name, const std::string& dims,
                   const std::string& grid, std::int64_t steps,
                   std::int64_t space_points, Setup&& setup,
                   const std::string& paper_note) {
-  Row row{name, dims, grid, steps, space_points, 0, 0, 0, 0, paper_note, {}};
+  Row row{name, dims, grid, steps, space_points, {}, paper_note, {}};
   auto timed_cfg = [&](const char* cfg, Algorithm alg, bool parallel,
                        telemetry::RunTelemetry* out) {
-    trace::Session session(name + " " + dims + "/" + cfg);
-    const double s = timed([&] {
-      auto runner = setup();
-      runner(alg, parallel);
-    });
-    *out = session.finish();
-    return s;
+    setup()(alg, parallel);  // warm-up, untimed
+    std::vector<double> secs;
+    for (int rep = 0; rep < kReps; ++rep) {
+      auto runner = setup();  // a fresh grid, built outside the timer
+      if (rep == 0) {
+        trace::Session session(name + " " + dims + "/" + cfg);
+        secs.push_back(timed([&] { runner(alg, parallel); }));
+        *out = session.finish();
+      } else {
+        secs.push_back(timed([&] { runner(alg, parallel); }));
+      }
+    }
+    return summarize(std::move(secs));
   };
-  row.pochoir_1core = timed_cfg("trap_1core", Algorithm::kTrap,
-                                /*parallel=*/false, &row.tel[0]);
-  row.pochoir_pcore = timed_cfg("trap_pcore", Algorithm::kTrap,
-                                /*parallel=*/true, &row.tel[1]);
-  row.serial_loops = timed_cfg("loops_serial", Algorithm::kLoopsSerial,
-                               /*parallel=*/false, &row.tel[2]);
-  row.parallel_loops = timed_cfg("loops_parallel", Algorithm::kLoopsParallel,
-                                 /*parallel=*/true, &row.tel[3]);
-  std::fprintf(stderr, "  done %-8s (%.1fs/%.1fs/%.1fs/%.1fs)\n", name.c_str(),
-               row.pochoir_1core, row.pochoir_pcore, row.serial_loops,
-               row.parallel_loops);
+  row.time[0] = timed_cfg("trap_1core", Algorithm::kTrap,
+                          /*parallel=*/false, &row.tel[0]);
+  row.time[1] = timed_cfg("trap_pcore", Algorithm::kTrap,
+                          /*parallel=*/true, &row.tel[1]);
+  row.time[2] = timed_cfg("loops_serial", Algorithm::kLoopsSerial,
+                          /*parallel=*/false, &row.tel[2]);
+  row.time[3] = timed_cfg("loops_parallel", Algorithm::kLoopsParallel,
+                          /*parallel=*/true, &row.tel[3]);
+  std::fprintf(stderr, "  done %-8s (%.2fs/%.2fs/%.2fs/%.2fs)\n", name.c_str(),
+               row.time[0].median, row.time[1].median, row.time[2].median,
+               row.time[3].median);
   return row;
 }
 
@@ -280,14 +315,16 @@ int main() {
   // ---- render the table -----------------------------------------------------
   Table table({"Benchmark", "Dims", "Grid", "Steps", "Pochoir 1c", "Pochoir Pc",
                "self-speedup", "serial loops", "ratio", "par loops", "ratio"});
+  auto cell = [](const Timing& tm) {
+    return strf("%.3fs (%.0f%%)", tm.median, 100 * tm.spread);
+  };
   for (const Row& r : rows) {
+    const double pcore = r.time[1].median;
     table.add_row({r.name, r.dims, r.grid, std::to_string(r.steps),
-                   strf("%.2fs", r.pochoir_1core), strf("%.2fs", r.pochoir_pcore),
-                   strf("%.2f", r.pochoir_1core / r.pochoir_pcore),
-                   strf("%.2fs", r.serial_loops),
-                   strf("%.1f", r.serial_loops / r.pochoir_pcore),
-                   strf("%.2fs", r.parallel_loops),
-                   strf("%.1f", r.parallel_loops / r.pochoir_pcore)});
+                   cell(r.time[0]), cell(r.time[1]),
+                   strf("%.2f", r.time[0].median / pcore), cell(r.time[2]),
+                   strf("%.1f", r.time[2].median / pcore), cell(r.time[3]),
+                   strf("%.1f", r.time[3].median / pcore)});
   }
   table.print();
   std::printf("\npaper reference (12-core Nehalem):\n");
@@ -295,8 +332,11 @@ int main() {
     std::printf("  %-5s %-3s %s\n", r.name.c_str(), r.dims.c_str(),
                 r.paper_note.c_str());
   }
-  std::printf("\nNote: 'ratio' columns are loops-time / Pochoir-all-cores "
-              "time, the paper's 'ratio' definition.\n");
+  std::printf("\nNote: times are medians of %d reps (their spread: "
+              "interquartile range / median); 'ratio' columns are "
+              "loops-time / Pochoir-all-cores time, the paper's 'ratio' "
+              "definition.\n",
+              kReps);
 
   JsonReport report("fig3_table");
   for (const Row& r : rows) {
@@ -305,17 +345,13 @@ int main() {
     const std::string kernel = r.name + " " + r.dims;
     const char* configs[4] = {"trap_1core", "trap_pcore", "loops_serial",
                               "loops_parallel"};
-    const double secs[4] = {r.pochoir_1core, r.pochoir_pcore, r.serial_loops,
-                            r.parallel_loops};
-    for (int c = 0; c < 4; ++c) {
+    for (std::size_t c = 0; c < 4; ++c) {
       // Counter deltas are all zero when telemetry was off; only attach
       // the block when it carries real data.
       const telemetry::RunTelemetry* tel =
-          r.tel[static_cast<std::size_t>(c)].points() > 0
-              ? &r.tel[static_cast<std::size_t>(c)]
-              : nullptr;
-      report.add(kernel, r.grid, r.steps, configs[c], secs[c],
-                 mpts / secs[c], tel);
+          r.tel[c].points() > 0 ? &r.tel[c] : nullptr;
+      report.add(kernel, r.grid, r.steps, configs[c], r.time[c].median,
+                 mpts / r.time[c].median, tel, r.time[c].spread);
     }
   }
   return 0;

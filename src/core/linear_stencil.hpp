@@ -2,12 +2,15 @@
 // form of the compiler's -split-pointer optimization (§4, Figure 12(c)).
 //
 // A linear stencil computes  u(t+home, x) = sum_j coeff_j * u(t+dt_j, x+dx_j).
-// Given the taps, the base case materializes one C-style pointer per term
-// and walks all of them down the unit-stride dimension, exactly like the
-// postsource in Figure 12(c): address arithmetic happens once per row, and
-// the inner loop is pure loads/stores with pointer increments.  The generic
-// per-point path (views + full index arithmetic per access) plays the role
-// of -split-macro-shadow in the Figure 13 comparison.
+// It supplies the two clones of a row leaf and no walker of its own:
+// row() is the interior clone, which materializes one C-style pointer per
+// term and walks all of them down a unit-stride row, exactly like the
+// postsource in Figure 12(c) (address arithmetic once per row, a pure
+// load/store inner loop); point() is the checked clone.  Stencil::run_linear
+// builds its leaf from them with row_leaf, like every other run entry, so
+// boundary zoids also run row() on the unchecked middle of each row.  The
+// generic per-point path (views + full index arithmetic per access) plays
+// the role of -split-macro-shadow in the Figure 13 comparison.
 #pragma once
 
 #include <array>
@@ -16,8 +19,7 @@
 
 #include "core/array.hpp"
 #include "core/shape.hpp"
-#include "geometry/zoid.hpp"
-#include "support/assertion.hpp"
+#include "support/error.hpp"
 #include "support/math_util.hpp"
 
 namespace pochoir {
@@ -33,13 +35,16 @@ class LinearStencil {
   };
 
   /// `home_dt` is the time offset of the written cell (1 for the
-  /// u(t+1,...) = f(u(t,...)) convention).
+  /// u(t+1,...) = f(u(t,...)) convention).  Misuse (no taps, more than 32,
+  /// or a tap not earlier than the written cell) throws pochoir::Error.
   LinearStencil(std::int64_t home_dt, std::vector<Tap> taps)
       : home_dt_(home_dt), taps_(std::move(taps)) {
-    POCHOIR_ASSERT_MSG(!taps_.empty(), "a linear stencil needs taps");
+    detail::check_usage(!taps_.empty(), "a linear stencil needs taps");
+    detail::check_usage(taps_.size() <= kMaxTaps,
+                        "a linear stencil has at most 32 taps");
     for (const Tap& tap : taps_) {
-      POCHOIR_ASSERT_MSG(tap.dt < home_dt_,
-                         "taps must read strictly earlier time levels");
+      detail::check_usage(tap.dt < home_dt_,
+                          "taps must read strictly earlier time levels");
     }
   }
 
@@ -55,63 +60,44 @@ class LinearStencil {
     return Shape<D>(std::move(cells));
   }
 
-  /// Split-pointer base case for interior zoids: per row, one pointer per
-  /// tap, incremented down the unit-stride dimension.
-  void base_interior(Array<T, D>& a, const Zoid<D>& z) const {
+  /// The interior clone, split-pointer style: one pointer per tap, walked
+  /// down the unit-stride row [idx[D-1], row_end) at time t.  The row's
+  /// time levels come from one mod_floor into the array's doubled
+  /// level-offset table, as in InteriorRowView: entry k of `level` serves
+  /// time t + home_dt + 1 - levels + k, so time t + dt sits at k0 + dt.
+  void row(Array<T, D>& a, std::int64_t t,
+           const std::array<std::int64_t, D>& idx, std::int64_t row_end) const {
     const std::int64_t levels = a.time_levels();
-    const std::int64_t ls = a.level_size();
-    T* const base = a.data();
+    const std::int64_t* const level =
+        a.level_offsets() + mod_floor(t + home_dt_ + 1, levels);
+    const std::int64_t k0 = levels - 1 - home_dt_;
+    std::int64_t row_off = 0;
+    for (int i = 0; i < D; ++i) row_off += idx[i] * a.stride(i);
+    T* const base = a.data() + row_off;
     const std::size_t num_taps = taps_.size();
-    POCHOIR_ASSERT(num_taps <= kMaxTaps);
-
-    // Per-tap spatial offset (constant across the walk).
-    std::array<std::int64_t, kMaxTaps> tap_spatial{};
+    std::array<const T*, kMaxTaps> p;
+    std::array<T, kMaxTaps> coeff;
     for (std::size_t j = 0; j < num_taps; ++j) {
-      std::int64_t off = 0;
+      std::int64_t off = level[k0 + taps_[j].dt];
       for (int i = 0; i < D; ++i) off += taps_[j].dx[i] * a.stride(i);
-      tap_spatial[j] = off;
+      p[j] = base + off;
+      coeff[j] = taps_[j].coeff;
     }
-
-    std::array<std::int64_t, D> lo = z.x0;
-    std::array<std::int64_t, D> hi = z.x1;
-    for (std::int64_t t = z.t0; t < z.t1; ++t) {
-      T* const out_level = base + mod_floor(t + home_dt_, levels) * ls;
-      std::array<T*, kMaxTaps> tap_level;
-      for (std::size_t j = 0; j < num_taps; ++j) {
-        tap_level[j] = base + mod_floor(t + taps_[j].dt, levels) * ls;
-      }
-      walk_rows(a, lo, hi, [&](std::int64_t row_off, std::int64_t lo_last,
-                               std::int64_t len) {
-        T* out = out_level + row_off + lo_last;
-        std::array<const T*, kMaxTaps> p;
-        std::array<T, kMaxTaps> coeff;
-        for (std::size_t j = 0; j < num_taps; ++j) {
-          p[j] = tap_level[j] + row_off + lo_last + tap_spatial[j];
-          coeff[j] = taps_[j].coeff;
-        }
-        row_update(out, p, coeff, num_taps, len);
-      });
-      for (int i = 0; i < D; ++i) {
-        lo[i] += z.dx0[i];
-        hi[i] += z.dx1[i];
-      }
-    }
+    row_update(base + level[k0 + home_dt_], p, coeff, num_taps,
+               row_end - idx[D - 1]);
   }
 
-  /// Checked base case for boundary zoids: true coordinates via modulo,
-  /// off-domain reads via the array's boundary function.
-  void base_boundary(Array<T, D>& a, const Zoid<D>& z) const {
-    for_each_point(z, [&](std::int64_t t, const std::array<std::int64_t, D>& v) {
-      std::array<std::int64_t, D> idx;
-      for (int i = 0; i < D; ++i) idx[i] = mod_floor(v[i], a.extent(i));
-      T acc{};
-      for (const Tap& tap : taps_) {
-        std::array<std::int64_t, D> at;
-        for (int i = 0; i < D; ++i) at[i] = idx[i] + tap.dx[i];
-        acc += tap.coeff * a.get(t + tap.dt, at);
-      }
-      a.at(t + home_dt_, idx) = acc;
-    });
+  /// The boundary clone at the true coordinate idx: reads that leave the
+  /// grid go through the array's boundary function.
+  void point(Array<T, D>& a, std::int64_t t,
+             const std::array<std::int64_t, D>& idx) const {
+    T acc{};
+    for (const Tap& tap : taps_) {
+      std::array<std::int64_t, D> at;
+      for (int i = 0; i < D; ++i) at[i] = idx[i] + tap.dx[i];
+      acc += tap.coeff * a.get(t + tap.dt, at);
+    }
+    a.at(t + home_dt_, idx) = acc;
   }
 
  private:
@@ -149,35 +135,6 @@ class LinearStencil {
           for (std::size_t j = 0; j < num_taps; ++j) acc += coeff[j] * p[j][n];
           out[n] = acc;
         }
-    }
-  }
-
-  /// Invokes fn(row_offset, lo_last, length) for every unit-stride row of
-  /// the box [lo, hi).
-  template <typename F>
-  void walk_rows(const Array<T, D>& a, const std::array<std::int64_t, D>& lo,
-                 const std::array<std::int64_t, D>& hi, F&& fn) const {
-    const std::int64_t len = hi[D - 1] - lo[D - 1];
-    if (len <= 0) return;
-    if constexpr (D == 1) {
-      fn(0, lo[0], len);
-    } else {
-      std::array<std::int64_t, D - 1> idx;
-      for (int i = 0; i < D - 1; ++i) {
-        if (lo[i] >= hi[i]) return;  // empty box at this time step
-        idx[i] = lo[i];
-      }
-      while (true) {
-        std::int64_t row_off = 0;
-        for (int i = 0; i < D - 1; ++i) row_off += idx[i] * a.stride(i);
-        fn(row_off, lo[D - 1], len);
-        int i = D - 2;
-        for (; i >= 0; --i) {
-          if (++idx[i] < hi[i]) break;
-          idx[i] = lo[i];
-        }
-        if (i < 0) break;
-      }
     }
   }
 

@@ -15,7 +15,7 @@
 #include <initializer_list>
 #include <vector>
 
-#include "support/assertion.hpp"
+#include "support/error.hpp"
 #include "support/math_util.hpp"
 
 namespace pochoir {
@@ -35,8 +35,10 @@ class Shape {
  public:
   /// Builds a shape from (dt, dx...) tuples; the first entry is the home
   /// cell.  Mirrors `Pochoir_Shape_2D s[] = {{1,0,0}, {0,1,0}, ...}`.
+  /// Misuse (no cells, a home cell off the origin, or a non-home cell not
+  /// earlier than the home cell) throws pochoir::Error.
   Shape(std::initializer_list<std::array<std::int64_t, D + 1>> cells) {
-    POCHOIR_ASSERT_MSG(cells.size() >= 1, "a shape needs at least a home cell");
+    detail::check_usage(cells.size() >= 1, "a shape needs at least a home cell");
     cells_.reserve(cells.size());
     for (const auto& raw : cells) {
       ShapeCell<D> cell;
@@ -48,7 +50,7 @@ class Shape {
   }
 
   explicit Shape(std::vector<ShapeCell<D>> cells) : cells_(std::move(cells)) {
-    POCHOIR_ASSERT_MSG(!cells_.empty(), "a shape needs at least a home cell");
+    detail::check_usage(!cells_.empty(), "a shape needs at least a home cell");
     derive();
   }
 
@@ -93,8 +95,8 @@ class Shape {
   void derive() {
     const ShapeCell<D>& home = cells_.front();
     for (int i = 0; i < D; ++i) {
-      POCHOIR_ASSERT_MSG(home.dx[i] == 0,
-                         "home cell spatial coordinates must all be 0");
+      detail::check_usage(home.dx[i] == 0,
+                          "home cell spatial coordinates must all be 0");
     }
     home_dt_ = home.dt;
     std::int64_t min_dt = home_dt_;
@@ -102,8 +104,8 @@ class Shape {
     reach_.fill(0);
     for (std::size_t c = 1; c < cells_.size(); ++c) {
       const ShapeCell<D>& cell = cells_[c];
-      POCHOIR_ASSERT_MSG(cell.dt < home_dt_,
-                         "non-home cells must have smaller time offsets");
+      detail::check_usage(cell.dt < home_dt_,
+                          "non-home cells must have smaller time offsets");
       min_dt = cell.dt < min_dt ? cell.dt : min_dt;
       const std::int64_t span = home_dt_ - cell.dt;  // >= 1
       for (int i = 0; i < D; ++i) {

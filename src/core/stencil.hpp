@@ -12,13 +12,19 @@
 //   });
 //
 // The kernel is a *generic* callable over (t, x..., views...).  Each run
-// entry builds one leaf from it: the two clones of §4 as base cases, the
-// interior clone walking unit-stride rows through InteriorRowView and the
-// boundary clone reading through BoundaryView.  The leaf reaches the
-// engines — TRAP (default), STRAP, or the loop baselines — as two
-// type-erased BaseCase<D> references through one private execute path, so
-// the engines are compiled once per (D, policy), never per kernel.
-// run() is resumable: a second run(T') continues from step T, as in §2.
+// entry builds one leaf from it with row_leaf: the two clones of §4 as base
+// cases over a row invoker (the interior clone, walking unit-stride rows
+// through InteriorRowView) and a checked point function (the boundary
+// clone, reading through BoundaryView).  Boundary zoids go through
+// make_boundary_base, the one place where the virtual coordinates of
+// seam-crossing pieces become true ones: once per row, splitting each row
+// into checked flanks and an unchecked middle.  LinearStencil, the
+// Phase-1 clones and the traced runs supply their own row invoker and
+// point function to the same leaf.  The leaf reaches the engines — TRAP
+// (default), STRAP, or the loop baselines — as two type-erased
+// BaseCase<D> references through one private execute path, so the engines
+// are compiled once per (D, policy), never per kernel.  run() is
+// resumable: a second run(T') continues from step T, as in §2.
 //
 // For long-running jobs, run_supervised() executes the same computation in
 // time slabs under the resilience layer (resilience/supervisor.hpp):
@@ -28,6 +34,7 @@
 // valid checkpoint and finishes the interrupted run.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -83,17 +90,6 @@ inline void call_kernel(K& kernel, std::int64_t t,
                         const std::array<std::int64_t, D>& idx,
                         const Views&... views) {
   call_kernel_impl<D>(kernel, t, idx, std::make_index_sequence<D>{}, views...);
-}
-
-/// Adapts a per-point functor f(t, idx) to the row-invoker signature
-/// f(t, idx, row_end); used by paths that must keep per-point view
-/// construction (shape checking, Phase-1 clones).
-template <int D, typename PF>
-auto point_fn_as_row(const PF& pf) {
-  return [&pf](std::int64_t t, std::array<std::int64_t, D> idx,
-               std::int64_t row_end) {
-    for (; idx[D - 1] < row_end; ++idx[D - 1]) pf(t, idx);
-  };
 }
 
 }  // namespace detail
@@ -307,7 +303,7 @@ class Stencil {
                           const std::array<std::int64_t, D>& idx) {
       detail::call_kernel<D>(kb, t, idx);
     };
-    const auto [ib, bb] = row_leaf(detail::point_fn_as_row<D>(pi), pb);
+    const auto [ib, bb] = row_leaf(point_fn_as_row<D>(pi), pb);
     execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
@@ -317,13 +313,11 @@ class Stencil {
   template <typename IB, typename KB>
   void run_split(std::int64_t steps, IB&& interior_base, KB&& boundary_kernel,
                  bool parallel = true) {
-    const auto pb_raw = [&boundary_kernel](
-                            std::int64_t t,
-                            const std::array<std::int64_t, D>& idx) {
+    const auto pb = [&boundary_kernel](std::int64_t t,
+                                       const std::array<std::int64_t, D>& idx) {
       detail::call_kernel<D>(boundary_kernel, t, idx);
     };
-    const auto pb = wrap_boundary_point_fn(pb_raw);
-    auto bb = [&pb](const Zoid<D>& z) { for_each_point(z, pb); };
+    const auto bb = make_boundary_base(point_fn_as_row<D>(pb), pb);
     execute(Algorithm::kTrap, parallel, steps, interior_base, bb);
   }
 
@@ -346,9 +340,13 @@ class Stencil {
       detail::check_usage(lin_shape.reach(i) <= shape_.reach(i),
                           "linear stencil reaches beyond the shape");
     }
-    auto& a = *std::get<0>(arrays_);
-    auto ib = [&](const Zoid<D>& z) { lin.base_interior(a, z); };
-    auto bb = [&](const Zoid<D>& z) { lin.base_boundary(a, z); };
+    auto* const a = std::get<0>(arrays_);
+    const auto [ib, bb] = row_leaf(
+        [a, &lin](std::int64_t t, const std::array<std::int64_t, D>& idx,
+                  std::int64_t row_end) { lin.row(*a, t, idx, row_end); },
+        [a, &lin](std::int64_t t, const std::array<std::int64_t, D>& idx) {
+          lin.point(*a, t, idx);
+        });
     execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
@@ -663,7 +661,7 @@ class Stencil {
   template <typename RI, typename PB>
   auto row_leaf(const RI& ri, const PB& pb) const {
     return std::pair([ri](const Zoid<D>& z) { for_each_row<D>(z, ri); },
-                     make_boundary_base(ri, wrap_boundary_point_fn(pb)));
+                     make_boundary_base(ri, pb));
   }
 
   template <typename K>
@@ -679,7 +677,7 @@ class Stencil {
   void run_point_views(Algorithm alg, std::int64_t steps, K& kernel,
                        Factory factory) {
     const auto pf = make_point_fn(kernel, factory);
-    const auto [ib, bb] = row_leaf(detail::point_fn_as_row<D>(pf), pf);
+    const auto [ib, bb] = row_leaf(point_fn_as_row<D>(pf), pf);
     execute(alg, /*parallel=*/false, steps, ib, bb);
   }
 
@@ -694,29 +692,17 @@ class Stencil {
     };
   }
 
-  /// Boundary zoids may carry virtual coordinates (seam pieces wrap past
-  /// the grid edge); the kernel is always invoked with true coordinates
-  /// obtained by a modulo computation (§4).
-  template <typename PB>
-  auto wrap_boundary_point_fn(const PB& pb_raw) const {
-    return [this, pb_raw](std::int64_t t,
-                          const std::array<std::int64_t, D>& idx) {
-      std::array<std::int64_t, D> true_idx;
-      for (int i = 0; i < D; ++i) {
-        true_idx[i] = mod_floor(idx[static_cast<std::size_t>(i)],
-                                grid_[static_cast<std::size_t>(i)]);
-      }
-      pb_raw(t, true_idx);
-    };
-  }
-
-  /// Boundary-zoid base case with row splitting: rows whose outer
-  /// coordinates are safely interior run the checked clone only on the
-  /// `reach`-wide flanks and the fast interior row invoker on the middle —
-  /// the ghost-cell trick applied inside boundary zoids.  This matters most
-  /// for the paper's >=3D heuristic, where the unit-stride dimension is
-  /// never cut and every zoid spans the full row, and for the loops
-  /// engine, whose edge chunks all land here.
+  /// The boundary clone, and the one place where virtual coordinates (seam
+  /// pieces run past the grid edge, §4) become true ones, once per row:
+  /// each outer coordinate is wrapped (a modulo only when it lies outside
+  /// [0, n)) and the unit-stride range is split at multiples of n.  Each
+  /// true segment runs the checked clone pb on its `reach`-wide flanks and
+  /// the unchecked row invoker ri on the middle (the ghost-cell trick
+  /// inside boundary zoids), or pb throughout when an outer coordinate
+  /// lies within `reach` of the edge.  So pb always sees true coordinates,
+  /// and the checked points of a zoid are O(surface) even where the
+  /// paper's >=3D heuristic never cuts the unit-stride dimension, and on
+  /// the loops engine, whose edge chunks all land here.
   template <typename RI, typename PB>
   auto make_boundary_base(const RI& ri, const PB& pb) const {
     const auto& reach = shape_.reaches();
@@ -725,31 +711,27 @@ class Stencil {
       for_each_row<D>(z, [&](std::int64_t t, std::array<std::int64_t, D> idx,
                              std::int64_t row_end) {
         bool outer_safe = true;
-        for (int i = 0; i + 1 < D; ++i) {
-          if (idx[i] < reach[static_cast<std::size_t>(i)] ||
-              idx[i] >= grid[static_cast<std::size_t>(i)] -
-                            reach[static_cast<std::size_t>(i)]) {
-            outer_safe = false;
-            break;
+        for (std::size_t i = 0; i + 1 < D; ++i) {
+          if (idx[i] < 0 || idx[i] >= grid[i]) {
+            idx[i] = mod_floor(idx[i], grid[i]);
           }
+          outer_safe = outer_safe && idx[i] >= reach[i] &&
+                       idx[i] < grid[i] - reach[i];
         }
-        const std::int64_t lo = idx[D - 1];
         const std::int64_t n = grid[D - 1];
         const std::int64_t r = reach[D - 1];
-        if (!outer_safe || lo < 0 || row_end > n) {
-          for (idx[D - 1] = lo; idx[D - 1] < row_end; ++idx[D - 1]) pb(t, idx);
-          return;
+        const std::int64_t x = idx[D - 1];
+        // Virtual minus true coordinate, one period more per segment.
+        std::int64_t shift = x >= 0 && x < n ? 0 : x - mod_floor(x, n);
+        for (std::int64_t lo = x - shift; lo + shift < row_end;
+             lo = 0, shift += n) {
+          const std::int64_t hi = std::min(row_end - shift, n);
+          const std::int64_t mid_lo = outer_safe ? std::clamp(r, lo, hi) : hi;
+          const std::int64_t mid_hi = std::clamp(n - r, mid_lo, hi);
+          for (idx[D - 1] = lo; idx[D - 1] < mid_lo; ++idx[D - 1]) pb(t, idx);
+          if (mid_lo < mid_hi) ri(t, idx, mid_hi);  // idx[D - 1] == mid_lo
+          for (idx[D - 1] = mid_hi; idx[D - 1] < hi; ++idx[D - 1]) pb(t, idx);
         }
-        const std::int64_t safe_lo = lo > r ? lo : r;
-        const std::int64_t safe_hi = row_end < n - r ? row_end : n - r;
-        if (safe_lo >= safe_hi) {
-          for (idx[D - 1] = lo; idx[D - 1] < row_end; ++idx[D - 1]) pb(t, idx);
-          return;
-        }
-        for (idx[D - 1] = lo; idx[D - 1] < safe_lo; ++idx[D - 1]) pb(t, idx);
-        idx[D - 1] = safe_lo;
-        ri(t, idx, safe_hi);
-        for (idx[D - 1] = safe_hi; idx[D - 1] < row_end; ++idx[D - 1]) pb(t, idx);
       });
     };
   }

@@ -4,10 +4,15 @@
 // with  t0 <= t < t1  and  x0_i + dx0_i (t - t0) <= x_i < x1_i + dx1_i (t - t0).
 // x0/x1 give the base at time t0; dx0/dx1 are the (inverse) slopes of the
 // sides, in grid points per time step.
+//
+// for_each_row is the one loop nest over a zoid's points: every base case
+// walks unit-stride rows, and for_each_point is for_each_row over the row
+// adapter point_fn_as_row.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "support/assertion.hpp"
 
@@ -119,24 +124,6 @@ struct Zoid {
   friend bool operator==(const Zoid&, const Zoid&) = default;
 };
 
-namespace detail {
-
-template <int I, int D, typename F>
-inline void point_loop_nest(const std::array<std::int64_t, D>& lo,
-                            const std::array<std::int64_t, D>& hi,
-                            std::array<std::int64_t, D>& idx, std::int64_t t,
-                            F&& f) {
-  if constexpr (I == D) {
-    f(t, const_cast<const std::array<std::int64_t, D>&>(idx));
-  } else {
-    for (idx[I] = lo[I]; idx[I] < hi[I]; ++idx[I]) {
-      point_loop_nest<I + 1, D>(lo, hi, idx, t, f);
-    }
-  }
-}
-
-}  // namespace detail
-
 /// Visits every unit-stride row of `z` in time-major order:
 /// f(t, idx, row_end) where idx[0..D-2] are the outer coordinates,
 /// idx[D-1] is the row start, and the row covers [idx[D-1], row_end).
@@ -173,21 +160,24 @@ inline void for_each_row(const Zoid<D>& z, F&& f) {
   }
 }
 
+/// Adapts a per-point functor pf(t, idx) to the row signature
+/// f(t, idx, row_end) of for_each_row: the one row adapter, for paths that
+/// build their views per point (Phase-1 clones, traced and shape-checked
+/// runs) and for for_each_point.
+template <int D, typename PF>
+auto point_fn_as_row(PF& pf) {
+  return [&pf](std::int64_t t, std::array<std::int64_t, D> idx,
+               std::int64_t row_end) {
+    for (; idx[D - 1] < row_end; ++idx[D - 1]) pf(t, std::as_const(idx));
+  };
+}
+
 /// Visits every grid point of `z` in time-major order, advancing the sloped
 /// sides at each time step: f(t, idx) where idx is the spatial coordinate.
 /// This is the base case loop nest of TRAP (lines 20-28 of Figure 2).
 template <int D, typename F>
 inline void for_each_point(const Zoid<D>& z, F&& f) {
-  std::array<std::int64_t, D> lo = z.x0;
-  std::array<std::int64_t, D> hi = z.x1;
-  std::array<std::int64_t, D> idx{};
-  for (std::int64_t t = z.t0; t < z.t1; ++t) {
-    detail::point_loop_nest<0, D>(lo, hi, idx, t, f);
-    for (int i = 0; i < D; ++i) {
-      lo[i] += z.dx0[i];
-      hi[i] += z.dx1[i];
-    }
-  }
+  for_each_row<D>(z, point_fn_as_row<D>(f));
 }
 
 }  // namespace pochoir

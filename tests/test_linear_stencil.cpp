@@ -156,6 +156,21 @@ TEST(LinearStencil, MisuseThrows) {
   EXPECT_THROW(st.run_linear(1, wider), Error);
   EXPECT_EQ(st.steps_done(), 0);
 
+  // Constructor misuse: more taps than the row clone holds (on a grid with
+  // interior zoids, so a run would reach the row clone), no taps, and a tap
+  // that reads the written time level.
+  const std::vector<LinearStencil<double, 1>::Tap> taps33(
+      33, LinearStencil<double, 1>::Tap{0, {0}, 1.0 / 33});
+  Array<double, 1> big({4096}, 1);
+  big.register_boundary(zero_boundary<double, 1>());
+  big.fill_time(0, [](const std::array<std::int64_t, 1>&) { return 1.0; });
+  Stencil<1, double> wide(stencils::heat_shape<1>());
+  wide.register_arrays(big);
+  EXPECT_THROW(wide.run_linear(64, LinearStencil<double, 1>(1, taps33), false),
+               Error);
+  EXPECT_THROW((LinearStencil<double, 1>(1, {})), Error);
+  EXPECT_THROW((LinearStencil<double, 1>(1, {{1, {0}, 1.0}})), Error);
+
   // A contained shape runs.
   EXPECT_NO_THROW(st.run_linear(1, heat));
   EXPECT_EQ(st.steps_done(), 1);
