@@ -19,6 +19,12 @@
 #include "support/timer.hpp"
 #include "telemetry/export.hpp"
 
+// The top-level build writes this header on every build (see
+// cmake/git_revision.cmake); builds without it pass POCHOIR_GIT_SHA.
+#if __has_include("pochoir_git_revision.hpp")
+#include "pochoir_git_revision.hpp"
+#endif
+
 namespace pochoir::bench {
 
 /// Compiler identity baked into every BENCH_*.json so perf numbers are
@@ -46,9 +52,12 @@ inline const char* build_flags() {
 #endif
 }
 
-/// Git revision of the build tree (injected by CMake at configure time).
+/// Git revision of the build tree: `git describe --always --dirty` at build
+/// time, else the POCHOIR_GIT_SHA definition of the build.
 inline const char* git_sha() {
-#ifdef POCHOIR_GIT_SHA
+#if defined(POCHOIR_GIT_REVISION)
+  return POCHOIR_GIT_REVISION;
+#elif defined(POCHOIR_GIT_SHA)
   return POCHOIR_GIT_SHA;
 #else
   return "unknown";

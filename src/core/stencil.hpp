@@ -444,7 +444,7 @@ class Stencil {
 
   template <typename T>
   std::string validate_loaded(const Array<T, D>& a,
-                              const resilience::LoadedArray& la,
+                              const resilience::ArraySnapshot& la,
                               std::size_t index) const {
     auto fail = [&](const char* what) {
       return "array " + std::to_string(index) + ": " + what;
@@ -458,7 +458,7 @@ class Stencil {
     const std::vector<std::int64_t> ext(a.extents().begin(),
                                         a.extents().end());
     if (la.extents != ext) return fail("extents mismatch");
-    if (la.bytes.size() != array_bytes(a)) return fail("payload size mismatch");
+    if (la.bytes != array_bytes(a)) return fail("payload size mismatch");
     return {};
   }
 
@@ -487,8 +487,7 @@ class Stencil {
     std::apply(
         [&](auto*... arrs) {
           auto copy = [&](auto& a) {
-            std::memcpy(a.data(), ck.arrays[i].bytes.data(),
-                        ck.arrays[i].bytes.size());
+            std::memcpy(a.data(), ck.arrays[i].data, ck.arrays[i].bytes);
             ++i;
           };
           (copy(*arrs), ...);

@@ -17,9 +17,12 @@
 // Files are named `<base>.<generation>.ckpt`; the writer goes through
 // io::atomic_write_file (temp + rename + bounded retry/backoff) and prunes
 // old generations after a successful write.  The loader walks generations
-// newest-first and skips any snapshot whose magic, structure, length, or
-// checksum does not verify — a flipped byte or truncated file silently
-// falls back to the previous generation.
+// newest-first and skips any snapshot whose magic, structure, step counts,
+// length, or checksum does not verify — a flipped byte or truncated file
+// silently falls back to the previous generation.  A loaded generation
+// keeps one copy of the file, and its arrays are views into it.  The CRC
+// runs on the SSE4.2 `crc32` instruction where the CPU has it and on a
+// table loop elsewhere; both write the same bytes.
 #pragma once
 
 #include <algorithm>
@@ -36,9 +39,14 @@
 
 #include "support/atomic_file.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define POCHOIR_CRC32C_SSE42 1
+#endif
+
 namespace pochoir::resilience {
 
-// --- CRC32C (Castagnoli), table-driven software implementation ------------
+// --- CRC32C (Castagnoli) --------------------------------------------------
 
 namespace detail {
 
@@ -58,18 +66,53 @@ inline const std::uint32_t* crc32c_table() {
   return table;
 }
 
-}  // namespace detail
-
-/// Incremental CRC32C; start with crc = 0 and chain over buffers.
-inline std::uint32_t crc32c(std::uint32_t crc, const void* data,
-                            std::size_t bytes) {
+/// Table-driven CRC32C, a byte per lookup: the path on every target and CPU
+/// without SSE4.2, and the tests' reference for the hardware path.
+inline std::uint32_t crc32c_software(std::uint32_t crc, const void* data,
+                                     std::size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
-  const std::uint32_t* table = detail::crc32c_table();
+  const std::uint32_t* table = crc32c_table();
   crc = ~crc;
   for (std::size_t i = 0; i < bytes; ++i) {
     crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xFFu];
   }
   return ~crc;
+}
+
+#ifdef POCHOIR_CRC32C_SSE42
+/// The same CRC on the SSE4.2 `crc32` instruction, 8 bytes a step.  One
+/// stream outruns the file write that follows it, so none are interleaved.
+[[gnu::target("sse4.2")]] inline std::uint32_t crc32c_sse42(
+    std::uint32_t crc, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t c = ~crc;
+  for (; bytes >= 8; bytes -= 8, p += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);  // unaligned load
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; bytes > 0; --bytes, ++p) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
+}
+#endif
+
+/// The SSE4.2 path where the target and CPU have it, else the table loop.
+inline decltype(&crc32c_software) crc32c_impl() {
+#ifdef POCHOIR_CRC32C_SSE42
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return &crc32c_sse42;
+#endif
+  return &crc32c_software;
+}
+
+}  // namespace detail
+
+/// Incremental CRC32C; start with crc = 0 and chain over buffers.
+inline std::uint32_t crc32c(std::uint32_t crc, const void* data,
+                            std::size_t bytes) {
+  static const auto impl = detail::crc32c_impl();  // chosen once per process
+  return impl(crc, data, bytes);
 }
 
 // --- checkpoint data model -------------------------------------------------
@@ -83,7 +126,8 @@ struct CheckpointMeta {
   std::int64_t steps_target = 0;  ///< total steps the interrupted run aimed for
 };
 
-/// Writer-side view of one array's storage (all circular time levels, raw).
+/// One array's layout and a view of its raw storage (all time levels): the
+/// writer's view of a live array, the loader's of a LoadedCheckpoint's bytes.
 struct ArraySnapshot {
   std::uint32_t dims = 0;
   std::uint32_t elem_size = 0;
@@ -94,19 +138,18 @@ struct ArraySnapshot {
   std::uint64_t bytes = 0;
 };
 
-/// Loader-side copy of one array's storage plus its layout metadata.
-struct LoadedArray {
-  std::uint32_t dims = 0;
-  std::uint32_t elem_size = 0;
-  std::int64_t levels = 0;
-  std::int64_t level_size = 0;
-  std::vector<std::int64_t> extents;
-  std::vector<unsigned char> bytes;
-};
-
+/// One verified generation.  It owns the file's bytes, and every array's
+/// `data` points into them, so a load holds one copy of each payload.
+/// Move-only (declaring the moves deletes the copies): a copy's views would
+/// still point into the source's bytes, and a moved vector keeps its buffer.
 struct LoadedCheckpoint {
+  LoadedCheckpoint() = default;
+  LoadedCheckpoint(LoadedCheckpoint&&) = default;
+  LoadedCheckpoint& operator=(LoadedCheckpoint&&) = default;
+
   CheckpointMeta meta;
-  std::vector<LoadedArray> arrays;
+  std::vector<ArraySnapshot> arrays;  ///< payload views into `raw`
+  std::vector<unsigned char> raw;     ///< the whole file, CRC trailer included
   std::string file;  ///< the generation file the data came from
 };
 
@@ -264,15 +307,6 @@ class ByteReader {
     return true;
   }
 
-  bool read_bytes(std::vector<unsigned char>& out, std::uint64_t n) {
-    // n comes from the file: compare against the bytes left, so a huge
-    // length cannot wrap the sum past the check.
-    if (n > size_ - pos_) return false;
-    out.assign(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
-    return true;
-  }
-
   [[nodiscard]] std::size_t pos() const { return pos_; }
 
  private:
@@ -283,13 +317,15 @@ class ByteReader {
 
 }  // namespace detail
 
-/// Parses and verifies one checkpoint file; nullopt on any structural or
-/// checksum mismatch (the caller falls back to an older generation).
+/// Parses and verifies one checkpoint file; nullopt on any structural,
+/// step-count or checksum mismatch (the caller falls back to an older
+/// generation).
 inline std::optional<LoadedCheckpoint> load_checkpoint_file(
     const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;
-  std::vector<unsigned char> raw;
+  LoadedCheckpoint out;
+  std::vector<unsigned char>& raw = out.raw;
   {
     std::error_code ec;
     const auto size = std::filesystem::file_size(path, ec);
@@ -310,17 +346,19 @@ inline std::optional<LoadedCheckpoint> load_checkpoint_file(
 
   detail::ByteReader r(raw.data(), body);
   std::uint32_t magic = 0, version = 0, array_count = 0;
-  LoadedCheckpoint out;
   if (!r.read(magic) || magic != kCheckpointMagic) return std::nullopt;
   if (!r.read(version) || version != kCheckpointVersion) return std::nullopt;
   if (!r.read(out.meta.generation) || !r.read(out.meta.steps_done) ||
       !r.read(out.meta.steps_target) || !r.read(array_count)) {
     return std::nullopt;
   }
+  // The writer only stores 0 <= steps_done <= steps_target.
+  if (out.meta.steps_done < 0 || out.meta.steps_done > out.meta.steps_target) {
+    return std::nullopt;
+  }
   if (array_count > 4096) return std::nullopt;
-  std::vector<std::uint64_t> payload_bytes;
   for (std::uint32_t i = 0; i < array_count; ++i) {
-    LoadedArray a;
+    ArraySnapshot a;
     if (!r.read(a.dims) || !r.read(a.elem_size) || !r.read(a.levels) ||
         !r.read(a.level_size) || a.dims > 16) {
       return std::nullopt;
@@ -329,17 +367,18 @@ inline std::optional<LoadedCheckpoint> load_checkpoint_file(
     for (auto& e : a.extents) {
       if (!r.read(e)) return std::nullopt;
     }
-    std::uint64_t bytes = 0;
-    if (!r.read(bytes)) return std::nullopt;
-    payload_bytes.push_back(bytes);
+    if (!r.read(a.bytes)) return std::nullopt;
     out.arrays.push_back(std::move(a));
   }
-  for (std::uint32_t i = 0; i < array_count; ++i) {
-    if (!r.read_bytes(out.arrays[i].bytes, payload_bytes[i])) {
-      return std::nullopt;
-    }
+  std::size_t pos = r.pos();
+  for (ArraySnapshot& a : out.arrays) {
+    // a.bytes comes from the file: compare against the bytes left, so a
+    // huge length cannot wrap the sum past the check.
+    if (a.bytes > body - pos) return std::nullopt;
+    a.data = raw.data() + pos;
+    pos += a.bytes;
   }
-  if (r.pos() != body) return std::nullopt;  // trailing garbage
+  if (pos != body) return std::nullopt;  // trailing garbage
   out.file = path;
   return out;
 }

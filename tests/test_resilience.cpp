@@ -300,6 +300,41 @@ TEST(ResilienceCheckpoint, CorruptedNewestFallsBackToOlderGeneration) {
   EXPECT_TRUE(storage_equal(b, fx.ref));
 }
 
+/// Overwrites the i64 at `offset` of a generation file and re-seals its CRC,
+/// so only the loader's own checks can reject the edit.
+void forge_i64(const std::string& path, std::size_t offset,
+               std::int64_t value) {
+  std::vector<unsigned char> raw(fs::file_size(path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fread(raw.data(), 1, raw.size(), f), raw.size());
+  std::fclose(f);
+  std::memcpy(raw.data() + offset, &value, sizeof value);
+  const std::size_t body = raw.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc = rs::crc32c(0, raw.data(), body);
+  std::memcpy(raw.data() + body, &crc, sizeof crc);
+  f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), f), raw.size());
+  std::fclose(f);
+}
+
+TEST(ResilienceCheckpoint, ImpossibleStepCountsFallBack) {
+  CheckpointFixture fx("impossible_steps");
+  fx.populate();
+  const std::string newest = rs::list_checkpoints(fx.base).back().second;
+  // A CRC-valid generation claiming -5 of 40 steps done: resumed as is, it
+  // would run 45 steps on arrays that already hold some.
+  forge_i64(newest, /*steps_done at*/ 16, -5);
+  forge_i64(newest, /*steps_target at*/ 24, 40);
+  EXPECT_FALSE(rs::load_checkpoint_file(newest).has_value());
+  Array<double, 2> b({20, 20}, 1);
+  const rs::RunReport rep = fx.resume_fresh(b);
+  ASSERT_TRUE(rep.ok()) << rep.message;
+  EXPECT_LT(rep.steps_requested, fx.steps);
+  EXPECT_TRUE(storage_equal(b, fx.ref));
+}
+
 TEST(ResilienceCheckpoint, TruncatedNewestFallsBack) {
   CheckpointFixture fx("truncate_newest");
   fx.populate();
@@ -325,7 +360,7 @@ TEST(ResilienceCheckpoint, HugePayloadLengthFallsBack) {
   constexpr std::size_t kLengthAt = 76;
   std::uint64_t length = 0;
   std::memcpy(&length, raw.data() + kLengthAt, sizeof length);
-  ASSERT_EQ(length, rs::load_checkpoint_file(newest)->arrays[0].bytes.size());
+  ASSERT_EQ(length, rs::load_checkpoint_file(newest)->arrays[0].bytes);
   // A CRC-valid generation whose length, 2^64 - 17, wraps pos + length.
   length = ~std::uint64_t{0} - 16;
   std::memcpy(raw.data() + kLengthAt, &length, sizeof length);

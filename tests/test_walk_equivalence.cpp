@@ -33,7 +33,7 @@ std::atomic<std::int64_t> g_allocs{0};
 
 // Counting global allocator hooks: active only while g_counting is set, so
 // gtest/harness allocations outside the measured region are ignored.
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   }
@@ -41,10 +41,14 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-// Out of line: inlined next to operator new, gcc 12 reports these malloc /
-// free pairs as mismatched new/delete (-Wmismatched-new-delete).
+// Out of line, like the operator news above: when either side is inlined,
+// gcc 12 sees the malloc / free pair and reports it as a mismatched
+// new/delete (-Wmismatched-new-delete), the deletes at -O3 and the news
+// under the TSan recipe (-O2 -fsanitize=thread).
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
