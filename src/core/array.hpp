@@ -10,8 +10,13 @@
 //   at(t, i...)        unchecked reference         (the "interior" path)
 //   get(t, i...)       checked read; off-domain coordinates are served by
 //                      the array's boundary function (the "boundary" path)
-//   operator()(t,i...) checked read/write proxy — the Phase-1 template-
-//                      library semantics of Figure 6.
+//   operator()(t,i...) CheckedRef, the library's one checked read/write
+//                      proxy (the Phase-1 semantics of Figure 6).  It
+//                      reads through get() and writes through at(), and a
+//                      hook runs before each access: here it asserts, in
+//                      every build, that writes land in-domain.  The
+//                      kernel views (views.hpp) hand out the same proxy
+//                      with their own hooks.
 #pragma once
 
 #include <array>
@@ -37,6 +42,54 @@ class Array;
 template <typename T, int D>
 using BoundaryFn = std::function<T(const Array<T, D>&, std::int64_t,
                                    const std::array<std::int64_t, D>&)>;
+
+/// Read/write proxy for one grid point.  hook(a, t, idx, is_write) runs
+/// before every access; reads then go through Array::get (off-domain
+/// points are served by the boundary function) and writes through
+/// Array::at.  Compound assignments read, then write.
+template <typename T, int D, typename Hook>
+class CheckedRef {
+ public:
+  CheckedRef(Array<T, D>& a, Hook hook, std::int64_t t,
+             std::array<std::int64_t, D> idx)
+      : a_(&a), hook_(hook), t_(t), idx_(idx) {}
+
+  operator T() const {  // NOLINT(google-explicit-constructor)
+    hook_(*a_, t_, idx_, /*is_write=*/false);
+    return a_->get(t_, idx_);
+  }
+
+  CheckedRef& operator=(const T& v) {
+    hook_(*a_, t_, idx_, /*is_write=*/true);
+    a_->at(t_, idx_) = v;
+    return *this;
+  }
+  CheckedRef& operator=(const CheckedRef& other) {
+    return *this = static_cast<T>(other);
+  }
+  CheckedRef& operator+=(const T& v) { return *this = static_cast<T>(*this) + v; }
+  CheckedRef& operator-=(const T& v) { return *this = static_cast<T>(*this) - v; }
+  CheckedRef& operator*=(const T& v) { return *this = static_cast<T>(*this) * v; }
+
+  /// Explicit value read (useful where implicit conversion is awkward).
+  [[nodiscard]] T value() const { return static_cast<T>(*this); }
+
+ private:
+  Array<T, D>* a_;
+  [[no_unique_address]] Hook hook_;
+  std::int64_t t_;
+  std::array<std::int64_t, D> idx_;
+};
+
+/// CheckedRef hook of Array::operator(): writes must land in-domain.
+struct WriteInDomainHook {
+  template <typename A, typename Idx>
+  void operator()(const A& a, std::int64_t, const Idx& idx,
+                  bool is_write) const {
+    POCHOIR_ASSERT_MSG(!is_write || a.in_domain(idx),
+                       "write outside the domain");
+  }
+};
 
 template <typename T, int D>
 class Array {
@@ -193,37 +246,12 @@ class Array {
 
   /// Read/write proxy for one grid point: reads are boundary-checked,
   /// writes must land in-domain.
-  class Ref {
-   public:
-    Ref(Array& a, std::int64_t t, std::array<std::int64_t, D> idx)
-        : a_(a), t_(t), idx_(idx) {}
-
-    operator T() const { return a_.get(t_, idx_); }  // NOLINT(google-explicit-constructor)
-
-    Ref& operator=(const T& v) {
-      POCHOIR_ASSERT_MSG(a_.in_domain(idx_), "write outside the domain");
-      a_.at(t_, idx_) = v;
-      return *this;
-    }
-    Ref& operator=(const Ref& other) { return *this = static_cast<T>(other); }
-    Ref& operator+=(const T& v) { return *this = static_cast<T>(*this) + v; }
-    Ref& operator-=(const T& v) { return *this = static_cast<T>(*this) - v; }
-    Ref& operator*=(const T& v) { return *this = static_cast<T>(*this) * v; }
-
-    /// Explicit value read (useful where implicit conversion is awkward).
-    [[nodiscard]] T value() const { return static_cast<T>(*this); }
-
-   private:
-    Array& a_;
-    std::int64_t t_;
-    std::array<std::int64_t, D> idx_;
-  };
-
   template <typename... Idx>
-  [[nodiscard]] Ref operator()(std::int64_t t, Idx... i) {
+  [[nodiscard]] CheckedRef<T, D, WriteInDomainHook> operator()(
+      std::int64_t t, Idx... i) {
     static_assert(sizeof...(Idx) == D);
-    return Ref(*this, t,
-               std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...});
+    return {*this, {}, t,
+            std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...}};
   }
 
   template <typename... Idx>

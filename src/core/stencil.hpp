@@ -273,7 +273,7 @@ class Stencil {
   template <typename Sink, typename K>
   void run_traced(Algorithm alg, std::int64_t steps, K&& kernel, Sink& sink) {
     auto factory = [&sink](auto& a, std::int64_t, const auto&) {
-      return TracedView(a, sink);
+      return CheckedView(a, TouchHook<Sink>{&sink});
     };
     run_point_views(alg, steps, kernel, factory);
   }
@@ -284,8 +284,7 @@ class Stencil {
   template <typename K>
   void run_debug(std::int64_t steps, K&& kernel) {
     auto factory = [this](auto& a, std::int64_t t, const auto& idx) {
-      using A = std::remove_reference_t<decltype(a)>;
-      return ShapeCheckedView<typename A::value_type, D>(a, shape_, t, idx);
+      return CheckedView(a, ShapeHook<D>{&shape_, t, idx});
     };
     run_point_views(Algorithm::kLoopsSerial, steps, kernel, factory);
   }
@@ -572,7 +571,10 @@ class Stencil {
         execute(opts.algorithm, opts.parallel, n, ib, bb);
       }
     };
-    auto capture = [&] { capture_restore_point(restore); };
+    auto capture = [&] {
+      trace::Span span("restore_point");
+      capture_restore_point(restore);
+    };
     auto rollback = [&] { apply_restore_point(restore); };
     auto health = [&] { return health_scan(opts.divergence_limit); };
     auto apply_faults = [&](std::int64_t slab) {
@@ -681,7 +683,7 @@ class Stencil {
   }
 
   static auto boundary_factory() {
-    return [](auto& a, std::int64_t, const auto&) { return BoundaryView(a); };
+    return [](auto& a, std::int64_t, const auto&) { return CheckedView(a); };
   }
   auto interior_row_factory() const {
     const std::int64_t home = shape_.home_dt();

@@ -11,15 +11,21 @@
 // and the stencil's leaf instantiates it twice: with InteriorRowView, once
 // per unit-stride row of the interior clone (unchecked, compiles to direct
 // loads/stores off hoisted time-level addresses), and with BoundaryView for
-// the boundary clone (a proxy whose reads consult the boundary function
-// when off-domain).  Because both view types expose the same expression
+// the boundary clone.  Because both view types expose the same expression
 // interface, a kernel that compiles against the checked view compiles
 // against the unchecked one — the library-level restatement of the Pochoir
-// Guarantee.  The traced and shape-checked views serve the instrumented
-// runs.
+// Guarantee.
+//
+// Every checked access goes through one proxy, CheckedRef (array.hpp),
+// handed out by one view template, CheckedView<T, D, Hook>.  The paths
+// differ only in the hook that runs before each access:
+//   NoHook        the boundary clone (BoundaryView)
+//   TouchHook     the traced runs: in-domain touches go to a cache sink
+//   ShapeHook     the Phase-1 compliance runs: shape and home-cell checks
+// Array::operator() hands out the same proxy with an in-domain write check.
 //
 // For struct-valued cells (e.g. the LBM distribution record), use the
-// read()/write() methods, which both views also share.
+// read()/write() methods, which every view shares.
 #pragma once
 
 #include <array>
@@ -133,50 +139,33 @@ class InteriorRowView {
   std::array<std::int64_t, D> strides_{};
 };
 
-/// Checked view: the boundary clone's access path.  Reads route off-domain
-/// coordinates to the boundary function; writes always target the home
-/// point, which the walker guarantees is in-domain.
-template <typename T, int D>
-class BoundaryView {
+/// Hook of the boundary clone: nothing runs before an access beyond
+/// Array's own checks (get's boundary routing, at's debug-build in-domain
+/// assert).
+struct NoHook {
+  template <typename A, typename Idx>
+  void operator()(const A&, std::int64_t, const Idx&, bool) const {}
+};
+
+/// Checked view: hands the kernel one CheckedRef per access, each carrying
+/// a copy of the view's hook.  read() and write() go through the same
+/// proxy, so every access path of a view runs its hook.
+template <typename T, int D, typename Hook = NoHook>
+class CheckedView {
  public:
-  explicit BoundaryView(Array<T, D>& a) : a_(&a) {}
-
-  /// Read/write proxy for one grid point.
-  class Ref {
-   public:
-    Ref(Array<T, D>& a, std::int64_t t, std::array<std::int64_t, D> idx)
-        : a_(&a), t_(t), idx_(idx) {}
-
-    operator T() const { return a_->get(t_, idx_); }  // NOLINT(google-explicit-constructor)
-
-    Ref& operator=(const T& v) {
-      POCHOIR_DEBUG_ASSERT(a_->in_domain(idx_));
-      a_->at(t_, idx_) = v;
-      return *this;
-    }
-    Ref& operator=(const Ref& other) { return *this = static_cast<T>(other); }
-    Ref& operator+=(const T& v) { return *this = static_cast<T>(*this) + v; }
-    Ref& operator-=(const T& v) { return *this = static_cast<T>(*this) - v; }
-    Ref& operator*=(const T& v) { return *this = static_cast<T>(*this) * v; }
-    [[nodiscard]] T value() const { return static_cast<T>(*this); }
-
-   private:
-    Array<T, D>* a_;
-    std::int64_t t_;
-    std::array<std::int64_t, D> idx_;
-  };
+  explicit CheckedView(Array<T, D>& a, Hook hook = {}) : a_(&a), hook_(hook) {}
 
   template <typename... Idx>
-  [[nodiscard]] Ref operator()(std::int64_t t, Idx... i) const {
+  [[nodiscard]] CheckedRef<T, D, Hook> operator()(std::int64_t t,
+                                                  Idx... i) const {
     static_assert(sizeof...(Idx) == D);
-    return Ref(*a_, t,
-               std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...});
+    return {*a_, hook_, t,
+            std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...}};
   }
 
   template <typename... Idx>
   [[nodiscard]] T read(std::int64_t t, Idx... i) const {
-    static_assert(sizeof...(Idx) == D);
-    return a_->get(t, std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...});
+    return operator()(t, i...).value();
   }
 
   /// write(t, idx..., value)
@@ -191,181 +180,61 @@ class BoundaryView {
   template <std::size_t... Is, typename... Rest>
   void write_impl(std::int64_t t, std::index_sequence<Is...>, Rest... rest) const {
     auto tuple = std::forward_as_tuple(rest...);
-    std::array<std::int64_t, D> idx{
-        static_cast<std::int64_t>(std::get<Is>(tuple))...};
-    POCHOIR_DEBUG_ASSERT(a_->in_domain(idx));
-    a_->at(t, idx) = std::get<sizeof...(Rest) - 1>(tuple);
+    operator()(t, std::get<Is>(tuple)...) =
+        std::get<sizeof...(Rest) - 1>(tuple);
   }
 
   Array<T, D>* a_;
+  [[no_unique_address]] Hook hook_;
 };
 
-/// Checked view that additionally records every in-domain memory touch in a
-/// Sink (e.g. the ideal-cache simulator).  Off-domain reads go through the
+/// The boundary clone's access path: reads route off-domain coordinates to
+/// the boundary function; writes always target the home point, which the
+/// walker guarantees is in-domain.
+template <typename T, int D>
+using BoundaryView = CheckedView<T, D>;
+
+/// Hook of the traced runs: records every in-domain memory touch in a Sink
+/// (e.g. the ideal-cache simulator).  Off-domain reads go through the
 /// boundary function and are not traced (they are O(surface) rare).
-template <typename T, int D, typename Sink>
-class TracedView {
- public:
-  TracedView(Array<T, D>& a, Sink& sink) : a_(&a), sink_(&sink) {}
+template <typename Sink>
+struct TouchHook {
+  Sink* sink;
 
-  class Ref {
-   public:
-    Ref(Array<T, D>& a, Sink& sink, std::int64_t t,
-        std::array<std::int64_t, D> idx)
-        : a_(&a), sink_(&sink), t_(t), idx_(idx) {}
-
-    operator T() const {  // NOLINT(google-explicit-constructor)
-      if (a_->in_domain(idx_)) {
-        const T& ref = a_->at(t_, idx_);
-        sink_->touch(&ref, sizeof(T));
-        return ref;
-      }
-      return a_->get(t_, idx_);
-    }
-
-    Ref& operator=(const T& v) {
-      T& ref = a_->at(t_, idx_);
-      sink_->touch(&ref, sizeof(T));
-      ref = v;
-      return *this;
-    }
-    Ref& operator=(const Ref& other) { return *this = static_cast<T>(other); }
-    Ref& operator+=(const T& v) { return *this = static_cast<T>(*this) + v; }
-    Ref& operator-=(const T& v) { return *this = static_cast<T>(*this) - v; }
-    Ref& operator*=(const T& v) { return *this = static_cast<T>(*this) * v; }
-    [[nodiscard]] T value() const { return static_cast<T>(*this); }
-
-   private:
-    Array<T, D>* a_;
-    Sink* sink_;
-    std::int64_t t_;
-    std::array<std::int64_t, D> idx_;
-  };
-
-  template <typename... Idx>
-  [[nodiscard]] Ref operator()(std::int64_t t, Idx... i) const {
-    static_assert(sizeof...(Idx) == D);
-    return Ref(*a_, *sink_, t,
-               std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...});
+  template <typename T, int D, typename Idx>
+  void operator()(Array<T, D>& a, std::int64_t t, const Idx& idx,
+                  bool is_write) const {
+    if (is_write || a.in_domain(idx)) sink->touch(&a.at(t, idx), sizeof(T));
   }
-
-  template <typename... Idx>
-  [[nodiscard]] T read(std::int64_t t, Idx... i) const {
-    return static_cast<T>(operator()(t, i...));
-  }
-
-  /// write(t, idx..., value)
-  template <typename... Rest>
-  void write(std::int64_t t, Rest... rest) const {
-    write_impl(t, std::make_index_sequence<sizeof...(Rest) - 1>{}, rest...);
-  }
-
-  [[nodiscard]] Array<T, D>& array() const { return *a_; }
-
- private:
-  template <std::size_t... Is, typename... Rest>
-  void write_impl(std::int64_t t, std::index_sequence<Is...>, Rest... rest) const {
-    auto tuple = std::forward_as_tuple(rest...);
-    std::array<std::int64_t, D> idx{
-        static_cast<std::int64_t>(std::get<Is>(tuple))...};
-    T& ref = a_->at(t, idx);
-    sink_->touch(&ref, sizeof(T));
-    ref = std::get<sizeof...(Rest) - 1>(tuple);
-  }
-
-  Array<T, D>* a_;
-  Sink* sink_;
 };
 
-/// Phase-1 compliance view: checks that every access matches a cell of the
-/// declared shape relative to the kernel's home point ("the Pochoir template
-/// library complains ... if an access falls outside the region specified by
-/// the shape declaration").  Writes must target the home cell.
-template <typename T, int D>
-class ShapeCheckedView {
- public:
-  ShapeCheckedView(Array<T, D>& a, const Shape<D>& shape, std::int64_t home_t,
-                   std::array<std::int64_t, D> home)
-      : a_(&a), shape_(&shape), home_t_(home_t), home_(home) {}
+/// Hook of the Phase-1 compliance runs: every access must match a cell of
+/// the declared shape relative to the kernel's home point ("the Pochoir
+/// template library complains ... if an access falls outside the region
+/// specified by the shape declaration").  Writes must target the home cell.
+template <int D>
+struct ShapeHook {
+  const Shape<D>* shape;
+  std::int64_t home_t;
+  std::array<std::int64_t, D> home;
 
-  class Ref {
-   public:
-    Ref(const ShapeCheckedView& v, std::int64_t t,
-        std::array<std::int64_t, D> idx)
-        : v_(v), t_(t), idx_(idx) {}
-
-    operator T() const {  // NOLINT(google-explicit-constructor)
-      v_.check(t_, idx_, /*is_write=*/false);
-      return v_.a_->get(t_, idx_);
-    }
-    Ref& operator=(const T& val) {
-      v_.check(t_, idx_, /*is_write=*/true);
-      v_.a_->at(t_, idx_) = val;
-      return *this;
-    }
-    Ref& operator=(const Ref& other) { return *this = static_cast<T>(other); }
-    Ref& operator+=(const T& val) { return *this = static_cast<T>(*this) + val; }
-    Ref& operator-=(const T& val) { return *this = static_cast<T>(*this) - val; }
-    Ref& operator*=(const T& val) { return *this = static_cast<T>(*this) * val; }
-    [[nodiscard]] T value() const { return static_cast<T>(*this); }
-
-   private:
-    const ShapeCheckedView& v_;
-    std::int64_t t_;
-    std::array<std::int64_t, D> idx_;
-  };
-
-  template <typename... Idx>
-  [[nodiscard]] Ref operator()(std::int64_t t, Idx... i) const {
-    static_assert(sizeof...(Idx) == D);
-    return Ref(*this, t,
-               std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...});
-  }
-
-  template <typename... Idx>
-  [[nodiscard]] T read(std::int64_t t, Idx... i) const {
-    return static_cast<T>(operator()(t, i...));
-  }
-
-  /// write(t, idx..., value)
-  template <typename... Rest>
-  void write(std::int64_t t, Rest... rest) const {
-    write_impl(t, std::make_index_sequence<sizeof...(Rest) - 1>{}, rest...);
-  }
-
-  [[nodiscard]] Array<T, D>& array() const { return *a_; }
-
- private:
-  template <std::size_t... Is, typename... Rest>
-  void write_impl(std::int64_t t, std::index_sequence<Is...>, Rest... rest) const {
-    auto tuple = std::forward_as_tuple(rest...);
-    std::array<std::int64_t, D> idx{
-        static_cast<std::int64_t>(std::get<Is>(tuple))...};
-    check(t, idx, /*is_write=*/true);
-    a_->at(t, idx) = std::get<sizeof...(Rest) - 1>(tuple);
-  }
-
-  void check(std::int64_t t, const std::array<std::int64_t, D>& idx,
-             bool is_write) const {
-    std::array<std::int64_t, D> dx;
-    for (int i = 0; i < D; ++i) dx[i] = idx[i] - home_[i];
-    const std::int64_t dt = t - home_t_;
+  template <typename T>
+  void operator()(const Array<T, D>&, std::int64_t t,
+                  const std::array<std::int64_t, D>& idx, bool is_write) const {
+    std::array<std::int64_t, D> dx{};
+    for (int i = 0; i < D; ++i) dx[i] = idx[i] - home[i];
+    const std::int64_t dt = t - home_t;
     if (is_write) {
-      POCHOIR_ASSERT_MSG(dt == shape_->home_dt(),
+      POCHOIR_ASSERT_MSG(dt == shape->home_dt(),
                          "kernel write does not target the home cell's time");
       for (int i = 0; i < D; ++i) {
         POCHOIR_ASSERT_MSG(dx[i] == 0, "kernel write is spatially off-home");
       }
       return;
     }
-    POCHOIR_ASSERT_MSG(shape_->contains_offset(dt, dx),
+    POCHOIR_ASSERT_MSG(shape->contains_offset(dt, dx),
                        "kernel access outside the declared Pochoir shape");
   }
-
-  Array<T, D>* a_;
-  const Shape<D>* shape_;
-  std::int64_t home_t_;
-  std::array<std::int64_t, D> home_;
 };
 
 }  // namespace pochoir

@@ -113,6 +113,19 @@ TEST(FacadeDeath, RunDebugCatchesOffHomeWrite) {
   EXPECT_DEATH(st.run_debug(1, bad), "off-home");
 }
 
+TEST(FacadeDeath, RunDebugCatchesWriteAtWrongTime) {
+  // The heat shape's home cell is at t + 1; writing u(t, x, y) overwrites
+  // a cell that other points still read.
+  auto u = make_grid(12);
+  Stencil<2, double> st(stencils::heat_shape<2>());
+  st.register_arrays(u);
+  auto bad = [](std::int64_t t, std::int64_t x, std::int64_t y, auto uu) {
+    uu(t, x, y) = uu(t, x - 1, y);
+  };
+  EXPECT_DEATH(st.run_debug(1, bad),
+               "kernel write does not target the home cell's time");
+}
+
 TEST(Facade, RunBeforeRegisterThrows) {
   // Misuse of the public API is recoverable: pochoir::Error, not abort.
   Stencil<2, double> st(stencils::heat_shape<2>());

@@ -1,7 +1,8 @@
 // Tests for the resilient execution layer: slab checkpoint/restore
 // round-trips across the Figure 3 kernels, corruption fallback,
 // cooperative cancellation and deadlines, numerical health scans, fault
-// injection, graceful degradation, and the crash-safe file writer.
+// injection, graceful degradation, supervised runs over two arrays of
+// different cell types, and the crash-safe file writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -702,6 +703,124 @@ TEST(ResilienceSupervised, ResumeWithNoCheckpointsReportsError) {
   opts.checkpoint_path = base;
   const rs::RunReport rep = st.resume(kern, opts);
   EXPECT_EQ(rep.status, rs::RunStatus::kCheckpointError);
+}
+
+// --- two registered arrays -------------------------------------------------
+
+/// A double heat field drives a tracer of cell type V (heat_shape<2>).
+const auto kTwoArrayKernel = [](std::int64_t t, std::int64_t x, std::int64_t y,
+                                auto u, auto v) {
+  u(t + 1, x, y) = u(t, x, y) + 0.125 * (u(t, x - 1, y) + u(t, x + 1, y) +
+                                         u(t, x, y - 1) + u(t, x, y + 1) -
+                                         4.0 * u(t, x, y));
+  v(t + 1, x, y) = 0.5f * v(t, x, y) + static_cast<float>(0.25 * u(t, x, y)) +
+                   0.125f * (v(t, x - 1, y) + v(t, x + 1, y));
+};
+
+template <typename V>
+struct TwoArrayGrid {
+  Array<double, 2> u{{20, 20}, 1};
+  Array<V, 2> v{{20, 20}, 1};
+  Stencil<2, double, V> st{heat_shape<2>()};
+
+  TwoArrayGrid() {
+    u.register_boundary(periodic_boundary<double, 2>());
+    v.register_boundary(periodic_boundary<V, 2>());
+    fill_random(u, 0, 0.0, 1.0);
+    v.fill_time(0, [](const std::array<std::int64_t, 2>& i) {
+      return static_cast<V>(0.01 * static_cast<double>((i[0] * 7 + i[1]) % 11));
+    });
+    st.register_arrays(u, v);
+  }
+};
+
+using MixedGrid = TwoArrayGrid<float>;
+
+template <typename T>
+std::vector<unsigned char> storage_bytes(const Array<T, 2>& a) {
+  const auto* p = reinterpret_cast<const unsigned char*>(a.data());
+  return {p, p + sizeof(T) * static_cast<std::size_t>(a.total_size())};
+}
+
+TEST(ResilienceTwoArrays, KillAndResumeMatchesUninterruptedRun) {
+  const std::string base = scratch_dir("two_arrays_rt") + "/ck";
+  MixedGrid ref;
+  ref.st.run(12, kTwoArrayKernel);
+
+  MixedGrid a;
+  rs::FaultPlan faults;
+  faults.kill_after_slab = 1;
+  rs::SupervisorOptions opts;
+  opts.slab_steps = 3;
+  opts.checkpoint_path = base;
+  opts.faults = &faults;
+  const rs::RunReport crash = a.st.run_supervised(12, kTwoArrayKernel, opts);
+  ASSERT_EQ(crash.status, rs::RunStatus::kSimulatedCrash) << crash.message;
+  ASSERT_EQ(crash.steps_completed, 6);
+
+  // "Process restart": fresh arrays, whose initial state resume overwrites.
+  MixedGrid b;
+  rs::SupervisorOptions ropts;
+  ropts.slab_steps = 3;
+  ropts.checkpoint_path = base;
+  const rs::RunReport rep = b.st.resume(kTwoArrayKernel, ropts);
+  ASSERT_TRUE(rep.ok()) << rep.message;
+  EXPECT_EQ(rep.steps_completed, 6);
+  EXPECT_EQ(b.st.steps_done(), 12);
+  EXPECT_TRUE(storage_equal(b.u, ref.u));
+  EXPECT_TRUE(storage_equal(b.v, ref.v));
+}
+
+TEST(ResilienceTwoArrays, HealthRollbackMatchesUninterruptedRun) {
+  MixedGrid ref;
+  ref.st.run(3, kTwoArrayKernel);
+
+  MixedGrid a;
+  rs::FaultPlan faults;
+  faults.poison_after_slab = 1;
+  faults.poison_flat_index = 37;
+  rs::SupervisorOptions opts;
+  opts.slab_steps = 3;
+  opts.health_check = true;
+  opts.faults = &faults;
+  const rs::RunReport rep = a.st.run_supervised(12, kTwoArrayKernel, opts);
+  ASSERT_EQ(rep.status, rs::RunStatus::kNumericalError) << rep.message;
+  // Both arrays roll back to slab 0's boundary.
+  EXPECT_EQ(rep.steps_completed, 3);
+  EXPECT_EQ(a.st.steps_done(), 3);
+  EXPECT_TRUE(storage_equal(a.u, ref.u));
+  EXPECT_TRUE(storage_equal(a.v, ref.v));
+}
+
+TEST(ResilienceTwoArrays, ElementSizeMismatchRestoresNothing) {
+  const std::string base = scratch_dir("two_arrays_mismatch") + "/ck";
+  {
+    TwoArrayGrid<double> writer;
+    rs::FaultPlan faults;
+    faults.kill_after_slab = 0;
+    rs::SupervisorOptions opts;
+    opts.slab_steps = 3;
+    opts.checkpoint_path = base;
+    opts.faults = &faults;
+    const rs::RunReport rep =
+        writer.st.run_supervised(12, kTwoArrayKernel, opts);
+    ASSERT_EQ(rep.status, rs::RunStatus::kSimulatedCrash) << rep.message;
+  }
+  // Array 0 matches the snapshot's layout and array 1 does not: the
+  // restore must fail before it copies array 0 ("never a partial restore").
+  MixedGrid b;
+  const auto u_before = storage_bytes(b.u);
+  const auto v_before = storage_bytes(b.v);
+  rs::SupervisorOptions opts;
+  opts.checkpoint_path = base;
+  const rs::RunReport rep = b.st.resume(kTwoArrayKernel, opts);
+  EXPECT_EQ(rep.status, rs::RunStatus::kCheckpointError);
+  EXPECT_NE(rep.message.find("array 1: element size mismatch"),
+            std::string::npos)
+      << rep.message;
+  EXPECT_EQ(b.st.steps_done(), 0);
+  EXPECT_EQ(storage_bytes(b.u), u_before);
+  EXPECT_EQ(storage_bytes(b.v), v_before);
 }
 
 // --- crash-safe writer -------------------------------------------------------

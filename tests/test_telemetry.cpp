@@ -3,7 +3,7 @@
 // well-formedness and span nesting, one stencil_run span per run entry
 // point, registry/export round trips through the JSON linter, the
 // off-by-default allocation-free guarantee, and the RunReport timing
-// fields of supervised runs.
+// fields and restore_point spans of supervised runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -302,22 +302,22 @@ TEST(TelemetryTrace, TracedWalkEmitsZoidSpans) {
   tracer.reset();
 }
 
-/// Number of stencil_run spans recorded while `fn` runs.
+/// Number of spans called `name` recorded while `fn` runs.
 template <typename F>
-std::size_t stencil_run_spans(F&& fn) {
+std::size_t count_spans(const std::string& name, F&& fn) {
   trace::Tracer& tracer = trace::Tracer::instance();
   tracer.reset();
   tracer.set_active(true);
   fn();
   tracer.set_active(false);
-  std::size_t runs = 0;
+  std::size_t count = 0;
   for (const auto& log : tracer.drain_copy()) {
     for (const auto& ev : log.events) {
-      if (std::string(ev.name) == "stencil_run") ++runs;
+      if (ev.name == name) ++count;
     }
   }
   tracer.reset();
-  return runs;
+  return count;
 }
 
 /// Access sink for run_traced that only counts touches.
@@ -384,7 +384,7 @@ TEST(TelemetryTrace, EveryRunEntryOpensOneStencilRunSpan) {
        [&] { heat.run_linear(steps, stencils::heat_linear<2>(c)); }},
   };
   for (const auto& [name, call] : entries) {
-    EXPECT_EQ(stencil_run_spans(call), 1u) << name;
+    EXPECT_EQ(count_spans("stencil_run", call), 1u) << name;
   }
   EXPECT_GT(sink.touches, 0);
   fs::remove_all(dir);
@@ -490,6 +490,28 @@ TEST(TelemetrySupervised, RunReportCarriesSlabAndCheckpointTelemetry) {
       static_cast<std::int64_t>(sizeof(double));
   EXPECT_EQ(rep.checkpoint_bytes, rep.checkpoints_written * bytes_per_ckpt);
   fs::remove_all(dir);
+}
+
+TEST(TelemetrySupervised, EveryRestorePointCaptureOpensOneSpan) {
+  const std::int64_t n = 16, steps = 8;
+  Array<double, 2> a({n, n}, stencils::heat_shape<2>().depth());
+  a.register_boundary(dirichlet_boundary<double, 2>(0.0));
+  stencils::fill_random(a, 0, 0.0, 1.0);
+  Stencil<2, double> heat(stencils::heat_shape<2>());
+  heat.register_arrays(a);
+  auto kern = stencils::heat_kernel_2d({0.125, 0.125});
+
+  resilience::SupervisorOptions slabs;
+  slabs.slab_steps = 2;
+  auto sliced = [&] {
+    EXPECT_TRUE(heat.run_supervised(steps, kern, slabs).ok());
+  };
+  auto plain = [&] { EXPECT_TRUE(heat.run_supervised(steps, kern).ok()); };
+  // Four slabs: one capture before slab 0 and one after each slab but the
+  // last.
+  EXPECT_EQ(count_spans("restore_point", sliced), 4u);
+  // The default options protect nothing, so nothing is captured.
+  EXPECT_EQ(count_spans("restore_point", plain), 0u);
 }
 
 TEST(JsonLint, AcceptsValidDocuments) {
