@@ -7,6 +7,7 @@
 // paper-vs-measured comparison for each experiment.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -86,6 +87,28 @@ double timed(F&& fn) {
   Timer timer;
   fn();
   return timer.seconds();
+}
+
+/// Timed reps per configuration, after one untimed warm-up.
+constexpr int kReps = 5;
+
+/// The reps of one configuration: their median and spread (interquartile
+/// range over the median; quartiles interpolated between order statistics).
+struct Timing {
+  double median = 0;
+  double spread = 0;
+};
+
+inline Timing summarize(std::vector<double> secs) {
+  std::sort(secs.begin(), secs.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(secs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, secs.size() - 1);
+    return secs[lo] + (pos - static_cast<double>(lo)) * (secs[hi] - secs[lo]);
+  };
+  const double median = quantile(0.5);
+  return {median, (quantile(0.75) - quantile(0.25)) / median};
 }
 
 inline void print_header(const char* what, const char* paper_ref) {

@@ -7,7 +7,7 @@
 // Algorithms:   Algorithm::{kTrap,kStrap,kLoopsParallel,kLoopsSerial}
 // Tuning:       Options<D>, autotune_coarsening
 // Fast path:    LinearStencil<T,D> (split-pointer base cases)
-// Analysis:     analyze_trap/analyze_strap/analyze_loops, CacheSim
+// Analysis:     analyze_trap/analyze_strap, CacheSim
 // Resilience:   Stencil::run_supervised/resume, RunReport, SupervisorOptions,
 //               CancelToken, FaultPlan, pochoir::Error
 // Telemetry:    pochoir::trace::Session/Span (POCHOIR_TRACE=out.json),

@@ -187,21 +187,4 @@ DagMetrics analyze_strap(const WalkContext<D>& ctx, std::int64_t t0,
       .walk(Zoid<D>::box(t0, t1, ctx.grid));
 }
 
-/// Work/span of the parallel loop nest: each time step is a parallel loop
-/// over the outermost dimension (grain 1), composed serially over time.
-template <int D>
-DagMetrics analyze_loops(const WalkContext<D>& ctx, std::int64_t t0,
-                         std::int64_t t1, const DagCosts& costs = {}) {
-  double slab = costs.point;
-  for (int i = 1; i < D; ++i) {
-    slab *= static_cast<double>(ctx.grid[static_cast<std::size_t>(i)]);
-  }
-  const double n0 = static_cast<double>(ctx.grid[0]);
-  const double steps = static_cast<double>(t1 - t0);
-  DagMetrics m;
-  m.work = steps * (n0 * slab + costs.spawn * n0);
-  m.span = steps * (slab + costs.spawn * detail::lg2(n0));
-  return m;
-}
-
 }  // namespace pochoir

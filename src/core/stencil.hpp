@@ -31,14 +31,17 @@
 // checksummed on-disk checkpoints, cooperative cancellation/deadlines,
 // numerical health scans, and serial-engine degradation, reported through
 // a structured RunReport instead of aborts.  resume() restores the newest
-// valid checkpoint and finishes the interrupted run.
+// valid checkpoint and finishes the interrupted run.  The Stencil owns one
+// resilience::Snapshot for all of this: the supervisor captures the arrays
+// into it as the rollback point and writes it as the checkpoint, and
+// resume() loads into it, so after the first supervised run or resume the
+// Stencil keeps one copy of its arrays and allocates none again.  It is
+// move-only, as the Snapshot is.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -235,20 +238,22 @@ class Stencil {
                         "resume needs SupervisorOptions::checkpoint_path");
     rs::RunReport rep;
     rep.resumed = true;
-    auto loaded = rs::load_latest_checkpoint(opts.checkpoint_path);
-    if (!loaded) {
+    const std::string file =
+        rs::load_latest_checkpoint(opts.checkpoint_path, snapshot_);
+    if (file.empty()) {
       rep.status = rs::RunStatus::kCheckpointError;
       rep.message = "no valid checkpoint found at " + opts.checkpoint_path;
       return rep;
     }
-    std::string err = restore_from_checkpoint(*loaded);
+    const std::string err = snapshot_.restore(array_views());
     if (!err.empty()) {
       rep.status = rs::RunStatus::kCheckpointError;
-      rep.message = loaded->file + ": " + err;
+      rep.message = file + ": " + err;
       return rep;
     }
+    steps_done_ = snapshot_.meta.steps_done;
     const std::int64_t remaining =
-        loaded->meta.steps_target - loaded->meta.steps_done;
+        snapshot_.meta.steps_target - snapshot_.meta.steps_done;
     if (remaining <= 0) {
       rep.message = "checkpoint already holds the full run";
       return rep;
@@ -377,123 +382,19 @@ class Stencil {
     const CancelToken* prev_;
   };
 
-  /// In-memory slab-boundary snapshot: raw bytes of every registered array
-  /// (all circular time levels) plus the step counter.
-  struct RestorePoint {
-    std::int64_t steps_done = 0;
-    std::array<std::vector<unsigned char>, sizeof...(Ts)> bytes;
-  };
-
-  void capture_restore_point(RestorePoint& rp) const {
-    rp.steps_done = steps_done_;
-    std::size_t i = 0;
-    std::apply(
-        [&](auto*... arrs) {
-          auto one = [&](const auto& a) {
-            const std::size_t n = array_bytes(a);
-            rp.bytes[i].resize(n);
-            std::memcpy(rp.bytes[i].data(), a.data(), n);
-            ++i;
-          };
-          (one(*arrs), ...);
-        },
-        arrays_);
-  }
-
-  void apply_restore_point(const RestorePoint& rp) {
-    steps_done_ = rp.steps_done;
-    std::size_t i = 0;
-    std::apply(
-        [&](auto*... arrs) {
-          auto one = [&](auto& a) {
-            std::memcpy(a.data(), rp.bytes[i].data(), rp.bytes[i].size());
-            ++i;
-          };
-          (one(*arrs), ...);
-        },
-        arrays_);
-  }
-
-  template <typename T>
-  static std::size_t array_bytes(const Array<T, D>& a) {
-    return static_cast<std::size_t>(a.total_size()) * sizeof(T);
-  }
-
-  template <typename T>
-  static resilience::ArraySnapshot make_snapshot(const Array<T, D>& a) {
-    resilience::ArraySnapshot s;
-    s.dims = static_cast<std::uint32_t>(D);
-    s.elem_size = static_cast<std::uint32_t>(sizeof(T));
-    s.levels = a.time_levels();
-    s.level_size = a.level_size();
-    s.extents.assign(a.extents().begin(), a.extents().end());
-    s.data = reinterpret_cast<const unsigned char*>(a.data());
-    s.bytes = static_cast<std::uint64_t>(array_bytes(a));
-    return s;
-  }
-
-  [[nodiscard]] std::vector<resilience::ArraySnapshot> array_snapshots() const {
-    std::vector<resilience::ArraySnapshot> out;
-    out.reserve(sizeof...(Ts));
-    std::apply(
-        [&](auto*... arrs) { (out.push_back(make_snapshot(*arrs)), ...); },
-        arrays_);
-    return out;
-  }
-
-  template <typename T>
-  std::string validate_loaded(const Array<T, D>& a,
-                              const resilience::ArraySnapshot& la,
-                              std::size_t index) const {
-    auto fail = [&](const char* what) {
-      return "array " + std::to_string(index) + ": " + what;
+  /// Views of every registered array's storage (all circular time levels)
+  /// in the checkpoint layout: what a Snapshot captures and restores.
+  [[nodiscard]] std::vector<resilience::ArraySnapshot> array_views() const {
+    auto view = [](auto& a) {
+      using T = typename std::remove_reference_t<decltype(a)>::value_type;
+      return resilience::ArraySnapshot{
+          D, sizeof(T), a.time_levels(), a.level_size(),
+          {a.extents().begin(), a.extents().end()},
+          reinterpret_cast<unsigned char*>(a.data()),
+          static_cast<std::uint64_t>(a.total_size()) * sizeof(T)};
     };
-    if (la.dims != static_cast<std::uint32_t>(D)) {
-      return fail("dimensionality mismatch");
-    }
-    if (la.elem_size != sizeof(T)) return fail("element size mismatch");
-    if (la.levels != a.time_levels()) return fail("time-level count mismatch");
-    if (la.level_size != a.level_size()) return fail("level size mismatch");
-    const std::vector<std::int64_t> ext(a.extents().begin(),
-                                        a.extents().end());
-    if (la.extents != ext) return fail("extents mismatch");
-    if (la.bytes != array_bytes(a)) return fail("payload size mismatch");
-    return {};
-  }
-
-  /// Restores arrays + step counter from a verified checkpoint.  Two-pass:
-  /// every array's layout is validated against the snapshot before any
-  /// byte is copied, so a mismatch never leaves a partial restore.
-  /// Returns "" on success, else a description of the mismatch.
-  std::string restore_from_checkpoint(const resilience::LoadedCheckpoint& ck) {
-    if (ck.arrays.size() != sizeof...(Ts)) {
-      return "checkpoint holds " + std::to_string(ck.arrays.size()) +
-             " arrays, this stencil registers " + std::to_string(sizeof...(Ts));
-    }
-    std::string err;
-    std::size_t i = 0;
-    std::apply(
-        [&](auto*... arrs) {
-          auto check = [&](const auto& a) {
-            if (err.empty()) err = validate_loaded(a, ck.arrays[i], i);
-            ++i;
-          };
-          (check(*arrs), ...);
-        },
-        arrays_);
-    if (!err.empty()) return err;
-    i = 0;
-    std::apply(
-        [&](auto*... arrs) {
-          auto copy = [&](auto& a) {
-            std::memcpy(a.data(), ck.arrays[i].data, ck.arrays[i].bytes);
-            ++i;
-          };
-          (copy(*arrs), ...);
-        },
-        arrays_);
-    steps_done_ = ck.meta.steps_done;
-    return {};
+    return std::apply(
+        [&](auto*... arrs) { return std::vector{view(*arrs)...}; }, arrays_);
   }
 
   /// "" when every registered array is finite and bounded, else the first
@@ -558,12 +459,6 @@ class Stencil {
     }
     CancelTokenScope scope(*this, token);
 
-    const std::int64_t target_total = steps_done_ + steps;
-    std::uint64_t generation = opts.checkpoint_path.empty()
-                                   ? 0
-                                   : rs::next_generation(opts.checkpoint_path);
-    RestorePoint restore;
-
     auto run_slab = [&](std::int64_t n, bool serial) {
       if (serial) {
         execute(Algorithm::kLoopsSerial, /*parallel=*/false, n, ib, bb);
@@ -571,47 +466,19 @@ class Stencil {
         execute(opts.algorithm, opts.parallel, n, ib, bb);
       }
     };
-    auto capture = [&] {
-      trace::Span span("restore_point");
-      capture_restore_point(restore);
-    };
-    auto rollback = [&] { apply_restore_point(restore); };
     auto health = [&] { return health_scan(opts.divergence_limit); };
     auto apply_faults = [&](std::int64_t slab) {
       if (opts.faults->poison_after_slab == slab) {
         poison_first_array(opts.faults->poison_flat_index);
       }
     };
-    auto write_ckpt = [&](rs::RunReport& rep) {
-      trace::Span ckpt_span("checkpoint_io");
-      Timer ckpt_timer;
-      rs::CheckpointMeta meta;
-      meta.generation = generation++;
-      meta.steps_done = steps_done_;
-      meta.steps_target = target_total;
-      std::function<bool()> io_fault;
-      if (opts.faults != nullptr) {
-        io_fault = [plan = opts.faults] { return plan->take_io_failure(); };
-      }
-      const auto snaps = array_snapshots();
-      std::int64_t snap_bytes = 0;
-      for (const auto& s : snaps) snap_bytes += static_cast<std::int64_t>(s.bytes);
-      const rs::WriteCheckpointResult w = rs::write_checkpoint(
-          opts.checkpoint_path, meta, snaps, opts.keep_generations,
-          opts.io_retries, opts.io_retry_backoff_ms, io_fault);
-      rep.checkpoint_seconds += ckpt_timer.seconds();
-      rep.checkpoint_io_failures += w.attempts - (w.ok ? 1 : 0);
-      if (w.ok) {
-        ++rep.checkpoints_written;
-        rep.checkpoint_bytes += snap_bytes;
-      } else {
-        // Persistent IO failure degrades durability, not the computation.
-        rep.message = "checkpoint write failed after " +
-                      std::to_string(w.attempts) + " attempts: " + w.error;
-      }
-    };
-    return rs::supervise(opts, steps, token, run_slab, capture, rollback,
-                         health, apply_faults, write_ckpt);
+    // Views only when the loop captures: the default options allocate nothing.
+    const bool captures =
+        rs::protects(opts, token) || !opts.checkpoint_path.empty();
+    return rs::supervise(opts, steps, token, snapshot_,
+                         captures ? array_views()
+                                  : std::vector<rs::ArraySnapshot>{},
+                         steps_done_, run_slab, health, apply_faults);
   }
 
   /// The one execution path behind every run entry: validates the request,
@@ -785,6 +652,9 @@ class Stencil {
   bool registered_ = false;
   std::int64_t steps_done_ = 0;
   const CancelToken* cancel_ = nullptr;
+  /// The supervisor's rollback point and checkpoint image, and what
+  /// resume() loads; kept across runs so its buffer is allocated once.
+  resilience::Snapshot snapshot_;
 };
 
 }  // namespace pochoir

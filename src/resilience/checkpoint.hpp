@@ -14,15 +14,20 @@
 //   payloads, concatenated in array order
 //   u32 crc32c over everything above
 //
+// A Snapshot holds one generation in exactly these bytes, with a view of
+// each array's payload.  A Stencil keeps one and reuses its buffer: a
+// capture fills it from the live arrays (the supervisor's rollback point),
+// a checkpoint seals and writes it, a load fills it from a file, and one
+// two-pass restore copies it back for both rollback and resume.
+//
 // Files are named `<base>.<generation>.ckpt`; the writer goes through
 // io::atomic_write_file (temp + rename + bounded retry/backoff) and prunes
 // old generations after a successful write.  The loader walks generations
 // newest-first and skips any snapshot whose magic, structure, step counts,
 // length, or checksum does not verify — a flipped byte or truncated file
-// silently falls back to the previous generation.  A loaded generation
-// keeps one copy of the file, and its arrays are views into it.  The CRC
-// runs on the SSE4.2 `crc32` instruction where the CPU has it and on a
-// table loop elsewhere; both write the same bytes.
+// silently falls back to the previous generation.  The CRC runs on the
+// SSE4.2 `crc32` instruction where the CPU has it and on a table loop
+// elsewhere; both write the same bytes.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +37,6 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -126,31 +130,117 @@ struct CheckpointMeta {
   std::int64_t steps_target = 0;  ///< total steps the interrupted run aimed for
 };
 
-/// One array's layout and a view of its raw storage (all time levels): the
-/// writer's view of a live array, the loader's of a LoadedCheckpoint's bytes.
+/// One array's layout and a view of its raw storage (all time levels): a
+/// live array's storage, or its payload inside a Snapshot.
 struct ArraySnapshot {
   std::uint32_t dims = 0;
   std::uint32_t elem_size = 0;
   std::int64_t levels = 0;
   std::int64_t level_size = 0;
   std::vector<std::int64_t> extents;
-  const unsigned char* data = nullptr;
+  unsigned char* data = nullptr;
   std::uint64_t bytes = 0;
 };
 
-/// One verified generation.  It owns the file's bytes, and every array's
-/// `data` points into them, so a load holds one copy of each payload.
-/// Move-only (declaring the moves deletes the copies): a copy's views would
-/// still point into the source's bytes, and a moved vector keeps its buffer.
-struct LoadedCheckpoint {
-  LoadedCheckpoint() = default;
-  LoadedCheckpoint(LoadedCheckpoint&&) = default;
-  LoadedCheckpoint& operator=(LoadedCheckpoint&&) = default;
+namespace detail {
+
+/// Visits every header field in file order: magic, version, meta, then
+/// per array its layout and payload size.
+template <typename Visit>
+void visit_header(const CheckpointMeta& meta,
+                  const std::vector<ArraySnapshot>& arrays, Visit&& visit) {
+  visit(kCheckpointMagic);
+  visit(kCheckpointVersion);
+  visit(meta.generation);
+  visit(meta.steps_done);
+  visit(meta.steps_target);
+  visit(static_cast<std::uint32_t>(arrays.size()));
+  for (const ArraySnapshot& a : arrays) {
+    visit(a.dims);
+    visit(a.elem_size);
+    visit(a.levels);
+    visit(a.level_size);
+    for (std::int64_t e : a.extents) visit(e);
+    visit(a.bytes);
+  }
+}
+
+}  // namespace detail
+
+/// One generation's bytes exactly as on disk (header, payloads, CRC
+/// trailer), with a view of each array's payload.  A capture copies live
+/// arrays in, a checkpoint write seals and writes the bytes, a load
+/// verifies a file into them, and a restore copies them back out.  The
+/// buffer is reused: a capture or load of the same layout allocates no
+/// payload memory.  Move-only (declaring the moves deletes the copies): a
+/// copy's views would still point into the source's bytes, and a moved
+/// vector keeps its buffer.
+struct Snapshot {
+  Snapshot() = default;
+  Snapshot(Snapshot&&) = default;
+  Snapshot& operator=(Snapshot&&) = default;
 
   CheckpointMeta meta;
   std::vector<ArraySnapshot> arrays;  ///< payload views into `raw`
-  std::vector<unsigned char> raw;     ///< the whole file, CRC trailer included
-  std::string file;  ///< the generation file the data came from
+  std::vector<unsigned char> raw;     ///< the whole image, CRC trailer included
+
+  /// Encodes `meta`, the layouts of `live` and a copy of their storage.
+  /// The CRC trailer is left for seal().
+  void capture(const CheckpointMeta& m,
+               const std::vector<ArraySnapshot>& live) {
+    meta = m;
+    arrays = live;
+    std::size_t size = sizeof(std::uint32_t);
+    detail::visit_header(meta, arrays,
+                         [&](const auto& v) { size += sizeof v; });
+    for (const ArraySnapshot& a : arrays) size += a.bytes;
+    raw.resize(size);
+    std::size_t pos = 0;
+    detail::visit_header(meta, arrays, [&](const auto& v) {
+      std::memcpy(raw.data() + pos, &v, sizeof v);
+      pos += sizeof v;
+    });
+    for (std::size_t i = 0; i < arrays.size(); ++i) {
+      arrays[i].data = raw.data() + pos;
+      std::memcpy(arrays[i].data, live[i].data, arrays[i].bytes);
+      pos += arrays[i].bytes;
+    }
+  }
+
+  /// Writes the CRC32C of everything before the trailer into the trailer.
+  void seal() {
+    const std::size_t body = raw.size() - sizeof(std::uint32_t);
+    const std::uint32_t crc = crc32c(0, raw.data(), body);
+    std::memcpy(raw.data() + body, &crc, sizeof crc);
+  }
+
+  /// Copies the payloads into `live`.  Two passes: every layout is checked
+  /// against `live` before any byte is copied, so a mismatch never leaves
+  /// a partial restore.  Returns "" on success, else the first mismatch.
+  [[nodiscard]] std::string restore(
+      const std::vector<ArraySnapshot>& live) const {
+    if (arrays.size() != live.size()) {
+      return "checkpoint holds " + std::to_string(arrays.size()) +
+             " arrays, this stencil registers " + std::to_string(live.size());
+    }
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      const ArraySnapshot& a = arrays[i];
+      const ArraySnapshot& b = live[i];
+      const char* what =
+          a.dims != b.dims               ? "dimensionality mismatch"
+          : a.elem_size != b.elem_size   ? "element size mismatch"
+          : a.levels != b.levels         ? "time-level count mismatch"
+          : a.level_size != b.level_size ? "level size mismatch"
+          : a.extents != b.extents       ? "extents mismatch"
+          : a.bytes != b.bytes           ? "payload size mismatch"
+                                         : nullptr;
+      if (what != nullptr) return "array " + std::to_string(i) + ": " + what;
+    }
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      std::memcpy(live[i].data, arrays[i].data, arrays[i].bytes);
+    }
+    return {};
+  }
 };
 
 // --- file naming -----------------------------------------------------------
@@ -213,45 +303,6 @@ inline void prune_checkpoints(const std::string& base, std::uint64_t newest,
 
 // --- writing ---------------------------------------------------------------
 
-namespace detail {
-
-/// Visits every header field in file order: magic, version, meta, then
-/// per array its layout and payload size.
-template <typename Visit>
-void visit_header(const CheckpointMeta& meta,
-                  const std::vector<ArraySnapshot>& arrays, Visit&& visit) {
-  visit(kCheckpointMagic);
-  visit(kCheckpointVersion);
-  visit(meta.generation);
-  visit(meta.steps_done);
-  visit(meta.steps_target);
-  visit(static_cast<std::uint32_t>(arrays.size()));
-  for (const ArraySnapshot& a : arrays) {
-    visit(a.dims);
-    visit(a.elem_size);
-    visit(a.levels);
-    visit(a.level_size);
-    for (std::int64_t e : a.extents) visit(e);
-    visit(a.bytes);
-  }
-}
-
-/// The header bytes, sized up front and filled in place.
-inline std::vector<unsigned char> encode_header(
-    const CheckpointMeta& meta, const std::vector<ArraySnapshot>& arrays) {
-  std::size_t size = 0;
-  visit_header(meta, arrays, [&](const auto& v) { size += sizeof v; });
-  std::vector<unsigned char> header(size);
-  std::size_t pos = 0;
-  visit_header(meta, arrays, [&](const auto& v) {
-    std::memcpy(header.data() + pos, &v, sizeof v);
-    pos += sizeof v;
-  });
-  return header;
-}
-
-}  // namespace detail
-
 struct WriteCheckpointResult {
   bool ok = false;
   int attempts = 0;
@@ -259,34 +310,30 @@ struct WriteCheckpointResult {
   std::string error;
 };
 
-/// Writes one checkpoint generation.  `io_fault`, when set and returning
-/// true, fails an attempt before any IO (FaultPlan seam).  On success the
-/// oldest generations beyond `keep_generations` are pruned.
+/// Seals `snap` and writes its bytes as generation `snap.meta.generation`.
+/// `io_fault`, when set and returning true, fails an attempt before any IO
+/// (FaultPlan seam).  On success the oldest generations beyond
+/// `keep_generations` are pruned.
 inline WriteCheckpointResult write_checkpoint(
-    const std::string& base, const CheckpointMeta& meta,
-    const std::vector<ArraySnapshot>& arrays, int keep_generations = 2,
+    const std::string& base, Snapshot& snap, int keep_generations = 2,
     int io_retries = 3, int io_backoff_ms = 10,
     const std::function<bool()>& io_fault = {}) {
   WriteCheckpointResult result;
-  result.file = checkpoint_file_name(base, meta.generation);
-  const std::vector<unsigned char> header = detail::encode_header(meta, arrays);
-  const auto write_payload = [&](std::FILE* f) {
-    std::uint32_t crc = crc32c(0, header.data(), header.size());
-    if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
-      return false;
-    }
-    for (const ArraySnapshot& a : arrays) {
-      crc = crc32c(crc, a.data, a.bytes);
-      if (std::fwrite(a.data, 1, a.bytes, f) != a.bytes) return false;
-    }
-    return std::fwrite(&crc, 1, sizeof crc, f) == sizeof crc;
-  };
+  result.file = checkpoint_file_name(base, snap.meta.generation);
+  snap.seal();
   const io::AtomicWriteResult io = io::atomic_write_file(
-      result.file, write_payload, io_retries, io_backoff_ms, io_fault);
+      result.file,
+      [&](std::FILE* f) {
+        return std::fwrite(snap.raw.data(), 1, snap.raw.size(), f) ==
+               snap.raw.size();
+      },
+      io_retries, io_backoff_ms, io_fault);
   result.ok = io.ok;
   result.attempts = io.attempts;
   result.error = io.error;
-  if (result.ok) prune_checkpoints(base, meta.generation, keep_generations);
+  if (result.ok) {
+    prune_checkpoints(base, snap.meta.generation, keep_generations);
+  }
   return result;
 }
 
@@ -317,81 +364,81 @@ class ByteReader {
 
 }  // namespace detail
 
-/// Parses and verifies one checkpoint file; nullopt on any structural,
-/// step-count or checksum mismatch (the caller falls back to an older
-/// generation).
-inline std::optional<LoadedCheckpoint> load_checkpoint_file(
-    const std::string& path) {
+/// Reads and verifies one checkpoint file into `out`, reusing its buffer;
+/// false on any structural, step-count or checksum mismatch (the caller
+/// falls back to an older generation), and `out` then holds no usable
+/// generation.
+inline bool load_checkpoint_file(const std::string& path, Snapshot& out) {
+  out.arrays.clear();
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  LoadedCheckpoint out;
+  if (f == nullptr) return false;
   std::vector<unsigned char>& raw = out.raw;
   {
     std::error_code ec;
     const auto size = std::filesystem::file_size(path, ec);
     if (ec) {
       std::fclose(f);
-      return std::nullopt;
+      return false;
     }
     raw.resize(static_cast<std::size_t>(size));
     const std::size_t got = raw.empty() ? 0 : std::fread(raw.data(), 1, raw.size(), f);
     std::fclose(f);
-    if (got != raw.size()) return std::nullopt;
+    if (got != raw.size()) return false;
   }
-  if (raw.size() < sizeof(std::uint32_t) * 3) return std::nullopt;
+  if (raw.size() < sizeof(std::uint32_t) * 3) return false;
   const std::size_t body = raw.size() - sizeof(std::uint32_t);
   std::uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, raw.data() + body, sizeof stored_crc);
-  if (crc32c(0, raw.data(), body) != stored_crc) return std::nullopt;
+  if (crc32c(0, raw.data(), body) != stored_crc) return false;
 
   detail::ByteReader r(raw.data(), body);
   std::uint32_t magic = 0, version = 0, array_count = 0;
-  if (!r.read(magic) || magic != kCheckpointMagic) return std::nullopt;
-  if (!r.read(version) || version != kCheckpointVersion) return std::nullopt;
+  if (!r.read(magic) || magic != kCheckpointMagic) return false;
+  if (!r.read(version) || version != kCheckpointVersion) return false;
   if (!r.read(out.meta.generation) || !r.read(out.meta.steps_done) ||
       !r.read(out.meta.steps_target) || !r.read(array_count)) {
-    return std::nullopt;
+    return false;
   }
   // The writer only stores 0 <= steps_done <= steps_target.
   if (out.meta.steps_done < 0 || out.meta.steps_done > out.meta.steps_target) {
-    return std::nullopt;
+    return false;
   }
-  if (array_count > 4096) return std::nullopt;
+  if (array_count > 4096) return false;
   for (std::uint32_t i = 0; i < array_count; ++i) {
     ArraySnapshot a;
     if (!r.read(a.dims) || !r.read(a.elem_size) || !r.read(a.levels) ||
         !r.read(a.level_size) || a.dims > 16) {
-      return std::nullopt;
+      return false;
     }
     a.extents.resize(a.dims);
     for (auto& e : a.extents) {
-      if (!r.read(e)) return std::nullopt;
+      if (!r.read(e)) return false;
     }
-    if (!r.read(a.bytes)) return std::nullopt;
+    if (!r.read(a.bytes)) return false;
     out.arrays.push_back(std::move(a));
   }
   std::size_t pos = r.pos();
   for (ArraySnapshot& a : out.arrays) {
     // a.bytes comes from the file: compare against the bytes left, so a
     // huge length cannot wrap the sum past the check.
-    if (a.bytes > body - pos) return std::nullopt;
+    if (a.bytes > body - pos) return false;
     a.data = raw.data() + pos;
     pos += a.bytes;
   }
-  if (pos != body) return std::nullopt;  // trailing garbage
-  out.file = path;
-  return out;
+  if (pos != body) return false;  // trailing garbage
+  return true;
 }
 
-/// Newest generation that verifies; corrupt or truncated snapshots are
-/// skipped in favour of older ones.
-inline std::optional<LoadedCheckpoint> load_latest_checkpoint(
-    const std::string& base) {
-  auto generations = list_checkpoints(base);
+/// Loads the newest generation that verifies into `out`, skipping corrupt
+/// or truncated snapshots in favour of older ones.  Returns its file, or ""
+/// when none verifies.
+inline std::string load_latest_checkpoint(const std::string& base,
+                                          Snapshot& out) {
+  const auto generations = list_checkpoints(base);
   for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
-    if (auto loaded = load_checkpoint_file(it->second)) return loaded;
+    if (load_checkpoint_file(it->second, out)) return it->second;
   }
-  return std::nullopt;
+  return {};
 }
 
 }  // namespace pochoir::resilience

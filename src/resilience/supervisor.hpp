@@ -3,7 +3,8 @@
 //
 // The requested T steps are split into time slabs.  After each slab the
 // supervisor optionally (a) applies planted faults, (b) scans numerical
-// health, (c) captures an in-memory restore point, and (d) writes a
+// health, (c) captures the arrays into the Stencil's Snapshot, the
+// rollback point, and (d) seals that Snapshot and writes it as a
 // checksummed on-disk checkpoint generation.  Failures never abort the
 // process:
 //
@@ -17,16 +18,20 @@
 //   - checkpoint IO errors are retried with backoff and, if persistent,
 //     recorded in the report while the computation continues.
 //
-// The loop is written against six capability callbacks so it stays
-// independent of the Stencil template; core/stencil.hpp provides them.
+// The loop captures, rolls back and writes itself, over type-erased views
+// of the arrays; three callbacks (run a slab, scan health, plant faults)
+// keep it independent of the Stencil template.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/options.hpp"
+#include "resilience/checkpoint.hpp"
 #include "resilience/fault_injection.hpp"
 #include "support/cancellation.hpp"
 #include "support/timer.hpp"
@@ -108,29 +113,70 @@ struct SupervisorOptions {
   FaultPlan* faults = nullptr;
 };
 
-/// Runs `steps` in slabs.  Callbacks:
+/// Whether a run needs rollback points.  A plain supervised run (no slabs,
+/// no cancellation, no faults, no health scan) captures nothing and must
+/// stay within noise of Stencil::run.
+inline bool protects(const SupervisorOptions& opts, const CancelToken* token) {
+  return opts.slab_steps > 0 || token != nullptr || opts.faults != nullptr ||
+         opts.health_check;
+}
+
+/// Runs `steps` in slabs over the arrays that `live` views, with `snap` as
+/// the rollback point and the checkpoint image, and `steps_done` the
+/// caller's step counter (rolled back with the arrays).  `live` may be
+/// empty when neither protects() nor a checkpoint path asks for a capture.
+/// Callbacks:
 ///   run_slab(n, serial)   execute n steps (serial=true forces the loops
 ///                         engine on the calling thread); throws on failure
-///   capture()             record an in-memory restore point
-///   rollback()            restore arrays + step counter to the last capture
 ///   health()              "" when healthy, else a description
 ///   apply_faults(slab)    plant post-slab faults from the FaultPlan
-///   write_ckpt(report)    write one checkpoint generation, update counters
-template <typename RunSlab, typename Capture, typename Rollback,
-          typename Health, typename ApplyFaults, typename WriteCkpt>
+template <typename RunSlab, typename Health, typename ApplyFaults>
 RunReport supervise(const SupervisorOptions& opts, std::int64_t steps,
-                    CancelToken* token, RunSlab&& run_slab, Capture&& capture,
-                    Rollback&& rollback, Health&& health,
-                    ApplyFaults&& apply_faults, WriteCkpt&& write_ckpt) {
+                    CancelToken* token, Snapshot& snap,
+                    const std::vector<ArraySnapshot>& live,
+                    std::int64_t& steps_done, RunSlab&& run_slab,
+                    Health&& health, ApplyFaults&& apply_faults) {
   RunReport rep;
   rep.steps_requested = steps;
   const std::int64_t slab =
       opts.slab_steps > 0 && opts.slab_steps < steps ? opts.slab_steps : steps;
-  // Restore points are captured only when something can need one; a plain
-  // supervised run (no slabs, no cancellation, no faults, no health scan)
-  // must stay within noise of Stencil::run.
-  const bool protect = opts.slab_steps > 0 || token != nullptr ||
-                       opts.faults != nullptr || opts.health_check;
+  const bool protect = protects(opts, token);
+  const bool write = !opts.checkpoint_path.empty();
+  CheckpointMeta meta{write ? next_generation(opts.checkpoint_path) : 0, 0,
+                      steps_done + steps};
+  auto capture = [&] {
+    trace::Span span("restore_point");
+    meta.steps_done = steps_done;
+    snap.capture(meta, live);
+  };
+  auto rollback = [&] {
+    (void)snap.restore(live);  // captured from `live`: the layouts match
+    steps_done = snap.meta.steps_done;
+  };
+  auto write_ckpt = [&] {
+    trace::Span ckpt_span("checkpoint_io");
+    Timer ckpt_timer;
+    std::function<bool()> io_fault;
+    if (opts.faults != nullptr) {
+      io_fault = [plan = opts.faults] { return plan->take_io_failure(); };
+    }
+    const WriteCheckpointResult w =
+        write_checkpoint(opts.checkpoint_path, snap, opts.keep_generations,
+                         opts.io_retries, opts.io_retry_backoff_ms, io_fault);
+    ++meta.generation;
+    rep.checkpoint_seconds += ckpt_timer.seconds();
+    rep.checkpoint_io_failures += w.attempts - (w.ok ? 1 : 0);
+    if (w.ok) {
+      ++rep.checkpoints_written;
+      for (const ArraySnapshot& a : snap.arrays) {
+        rep.checkpoint_bytes += static_cast<std::int64_t>(a.bytes);
+      }
+    } else {
+      // Persistent IO failure degrades durability, not the computation.
+      rep.message = "checkpoint write failed after " +
+                    std::to_string(w.attempts) + " attempts: " + w.error;
+    }
+  };
   if (protect) capture();
 
   std::int64_t done = 0;
@@ -205,8 +251,9 @@ RunReport supervise(const SupervisorOptions& opts, std::int64_t steps,
     ++slab_index;
     rep.slabs_completed = slab_index;
     rep.steps_completed = done;
-    if (protect && done < steps) capture();
-    if (!opts.checkpoint_path.empty()) write_ckpt(rep);
+    // The last boundary needs a capture only to be written.
+    if ((protect && done < steps) || write) capture();
+    if (write) write_ckpt();
     if (opts.faults != nullptr && opts.faults->kill_after_slab >= 0 &&
         slab_index - 1 == opts.faults->kill_after_slab && done < steps) {
       rep.status = RunStatus::kSimulatedCrash;

@@ -237,7 +237,9 @@ inline bool write_chrome_trace(const std::string& path) {
 }
 
 /// RAII measured region: snapshots walk + scheduler counters on entry,
-/// records the deltas into the telemetry Registry on finish()/destruction.
+/// returns the deltas from finish() (called on destruction if not before),
+/// and records them into the telemetry Registry when counters were on for
+/// the session or POCHOIR_TELEMETRY_JSON asks for an export.
 ///
 /// Environment hooks (evaluated by the first Session that sees them):
 ///   POCHOIR_TRACE=out.json        activate tracing; write the Chrome trace
@@ -281,16 +283,18 @@ class Session {
     result_.seconds = static_cast<double>(now_ns() - begin_ns_) * 1e-9;
     result_.walk = telemetry::walk_stats().snapshot() - walk0_;
     result_.sched = rt::Scheduler::counters_now() - sched0_;
-    telemetry::Registry::instance().record(result_);
+    // The Registry keeps every session it records for the whole process, so
+    // only sessions that counted or are exported go there.
+    const char* snap = std::getenv("POCHOIR_TELEMETRY_JSON");
+    const bool exported = snap != nullptr && snap[0] != '\0';
+    if (telemetry::enabled() || exported) {
+      telemetry::Registry::instance().record(result_);
+    }
     if (owns_trace_) {
       write_chrome_trace(trace_path_);
       Tracer::instance().set_active(false);
     }
-    if (const char* snap = std::getenv("POCHOIR_TELEMETRY_JSON")) {
-      if (snap[0] != '\0') {
-        telemetry::Registry::instance().export_json(snap);
-      }
-    }
+    if (exported) telemetry::Registry::instance().export_json(snap);
     telemetry::set_enabled(prev_enabled_);
     return result_;
   }

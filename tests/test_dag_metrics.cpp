@@ -69,16 +69,6 @@ TEST(DagMetrics, SerialBaseCaseHasUnitParallelism) {
   EXPECT_DOUBLE_EQ(m.parallelism(), 1.0);
 }
 
-TEST(DagMetrics, LoopsModel) {
-  const auto ctx = context2d(256, 1, 1);
-  DagCosts costs;
-  costs.spawn = 0;
-  const DagMetrics m = analyze_loops(ctx, 0, 10, costs);
-  EXPECT_DOUBLE_EQ(m.work, 10.0 * 256 * 256);
-  EXPECT_DOUBLE_EQ(m.span, 10.0 * 256);       // one slab per parallel step
-  EXPECT_DOUBLE_EQ(m.parallelism(), 256.0);   // ~N with grain-1 outer loop
-}
-
 TEST(DagMetrics, CoarseningReducesOverheadWork) {
   // With per-node costs, an uncoarsened recursion does strictly more
   // overhead work than a coarsened one (the 36x effect of §4 in miniature).

@@ -1,8 +1,9 @@
 // Tests for the resilient execution layer: slab checkpoint/restore
-// round-trips across the Figure 3 kernels, corruption fallback,
-// cooperative cancellation and deadlines, numerical health scans, fault
-// injection, graceful degradation, supervised runs over two arrays of
-// different cell types, and the crash-safe file writer.
+// round-trips across the Figure 3 kernels, corruption fallback, the last
+// generation of a finished run, cooperative cancellation and deadlines,
+// numerical health scans, fault injection, graceful degradation,
+// supervised runs over two arrays of different cell types, and the
+// crash-safe file writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -293,7 +294,8 @@ TEST(ResilienceCheckpoint, CorruptedNewestFallsBackToOlderGeneration) {
   fx.populate();
   const auto gens = rs::list_checkpoints(fx.base);
   flip_byte(gens.back().second, /*offset_from_end=*/64);  // payload byte
-  ASSERT_FALSE(rs::load_checkpoint_file(gens.back().second).has_value());
+  rs::Snapshot snap;
+  ASSERT_FALSE(rs::load_checkpoint_file(gens.back().second, snap));
   Array<double, 2> b({20, 20}, 1);
   const rs::RunReport rep = fx.resume_fresh(b);
   ASSERT_TRUE(rep.ok()) << rep.message;
@@ -328,7 +330,8 @@ TEST(ResilienceCheckpoint, ImpossibleStepCountsFallBack) {
   // would run 45 steps on arrays that already hold some.
   forge_i64(newest, /*steps_done at*/ 16, -5);
   forge_i64(newest, /*steps_target at*/ 24, 40);
-  EXPECT_FALSE(rs::load_checkpoint_file(newest).has_value());
+  rs::Snapshot snap;
+  EXPECT_FALSE(rs::load_checkpoint_file(newest, snap));
   Array<double, 2> b({20, 20}, 1);
   const rs::RunReport rep = fx.resume_fresh(b);
   ASSERT_TRUE(rep.ok()) << rep.message;
@@ -361,7 +364,9 @@ TEST(ResilienceCheckpoint, HugePayloadLengthFallsBack) {
   constexpr std::size_t kLengthAt = 76;
   std::uint64_t length = 0;
   std::memcpy(&length, raw.data() + kLengthAt, sizeof length);
-  ASSERT_EQ(length, rs::load_checkpoint_file(newest)->arrays[0].bytes);
+  rs::Snapshot snap;
+  ASSERT_TRUE(rs::load_checkpoint_file(newest, snap));
+  ASSERT_EQ(length, snap.arrays[0].bytes);
   // A CRC-valid generation whose length, 2^64 - 17, wraps pos + length.
   length = ~std::uint64_t{0} - 16;
   std::memcpy(raw.data() + kLengthAt, &length, sizeof length);
@@ -373,7 +378,7 @@ TEST(ResilienceCheckpoint, HugePayloadLengthFallsBack) {
   ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), f), raw.size());
   std::fclose(f);
 
-  EXPECT_FALSE(rs::load_checkpoint_file(newest).has_value());
+  EXPECT_FALSE(rs::load_checkpoint_file(newest, snap));
   Array<double, 2> b({20, 20}, 1);
   const rs::RunReport rep = fx.resume_fresh(b);
   ASSERT_TRUE(rep.ok()) << rep.message;
@@ -407,6 +412,34 @@ TEST(ResilienceCheckpoint, LayoutMismatchReportsError) {
   const rs::RunReport rep = st.resume(kern, opts);
   EXPECT_EQ(rep.status, rs::RunStatus::kCheckpointError);
   EXPECT_NE(rep.message.find("mismatch"), std::string::npos) << rep.message;
+}
+
+TEST(ResilienceCheckpoint, LastGenerationHoldsTheFinishedRun) {
+  // In slabs the last boundary is captured only to be written; without
+  // slabs (nothing to protect) so is the run's one boundary.
+  for (const std::int64_t slab : {3, 0}) {
+    const std::string base =
+        scratch_dir("last_generation_" + std::to_string(slab)) + "/ck";
+    Array<double, 2> a({20, 20}, 1);
+    a.register_boundary(periodic_boundary<double, 2>());
+    fill_random(a, 0, 0.0, 1.0);
+    Stencil<2, double> st(heat_shape<2>());
+    st.register_arrays(a);
+    rs::SupervisorOptions opts;
+    opts.slab_steps = slab;
+    opts.checkpoint_path = base;
+    auto kern = heat_kernel_2d({0.125, 0.125});
+    ASSERT_TRUE(st.run_supervised(12, kern, opts).ok());
+    rs::Snapshot last;
+    ASSERT_TRUE(rs::load_checkpoint_file(
+        rs::list_checkpoints(base).back().second, last));
+    EXPECT_EQ(last.meta.steps_done, 12) << "slab_steps " << slab;
+    EXPECT_EQ(last.meta.steps_target, 12) << "slab_steps " << slab;
+    ASSERT_EQ(last.arrays.size(), 1u);
+    EXPECT_EQ(std::memcmp(last.arrays[0].data, a.data(), last.arrays[0].bytes),
+              0)
+        << "slab_steps " << slab;
+  }
 }
 
 TEST(ResilienceCheckpoint, OldGenerationsArePruned) {

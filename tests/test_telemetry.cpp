@@ -2,8 +2,10 @@
 // steps; TRAP vs loops agree; scheduler spawns == tasks run), trace-JSON
 // well-formedness and span nesting, one stencil_run span per run entry
 // point, registry/export round trips through the JSON linter, the
-// off-by-default allocation-free guarantee, and the RunReport timing
-// fields and restore_point spans of supervised runs.
+// off-by-default allocation-free guarantee, a Registry that keeps only
+// counted or exported sessions, and the RunReport timing fields,
+// restore_point spans and once-allocated snapshot buffer of supervised
+// runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,6 +47,9 @@ const bool g_env_cleared = [] {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::int64_t> g_allocs{0};
+// Allocations of at least g_big_bytes, counted alongside g_allocs.
+std::atomic<std::size_t> g_big_bytes{0};
+std::atomic<std::int64_t> g_big_allocs{0};
 
 }  // namespace
 
@@ -54,6 +59,9 @@ std::atomic<std::int64_t> g_allocs{0};
 void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (size >= g_big_bytes.load(std::memory_order_relaxed)) {
+      g_big_allocs.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   if (void* p = std::malloc(size != 0 ? size : 1)) return p;
   throw std::bad_alloc();
@@ -417,6 +425,20 @@ TEST(TelemetryExport, SessionAndRegistrySnapshotAreValidJson) {
   std::filesystem::remove(path);
 }
 
+TEST(TelemetryExport, RegistryKeepsOnlyCountedOrExportedSessions) {
+  ASSERT_FALSE(tel::enabled());
+  const std::size_t before = tel::Registry::instance().sessions().size();
+  // Counters off and no export asked for: nothing is kept.
+  for (int i = 0; i < 1000; ++i) {
+    trace::Session session("test/off");
+  }
+  EXPECT_EQ(tel::Registry::instance().sessions().size(), before);
+  {
+    trace::Session session("test/counted", /*force_enable=*/true);
+  }
+  EXPECT_EQ(tel::Registry::instance().sessions().size(), before + 1);
+}
+
 TEST(TelemetryOverhead, DisabledAndCounterOnlyPathsAreAllocationFree) {
   const std::int64_t n = 32, steps = 8;
   Array<double, 2> a({n, n}, stencils::heat_shape<2>().depth());
@@ -512,6 +534,59 @@ TEST(TelemetrySupervised, EveryRestorePointCaptureOpensOneSpan) {
   EXPECT_EQ(count_spans("restore_point", sliced), 4u);
   // The default options protect nothing, so nothing is captured.
   EXPECT_EQ(count_spans("restore_point", plain), 0u);
+}
+
+TEST(TelemetrySupervised, SnapshotBufferIsAllocatedOnce) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path("telemetry_test_snapshot_once");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::int64_t n = 256, steps = 8;
+  Array<double, 2> a({n, n}, stencils::heat_shape<2>().depth());
+  a.register_boundary(dirichlet_boundary<double, 2>(0.0));
+  stencils::fill_random(a, 0, 0.0, 1.0);
+  Stencil<2, double> heat(stencils::heat_shape<2>());
+  heat.register_arrays(a);
+  auto kern = stencils::heat_kernel_2d({0.125, 0.125});
+  heat.run(steps, kern);  // creates the scheduler pool outside the count
+
+  resilience::SupervisorOptions opts;
+  opts.slab_steps = 2;
+  opts.checkpoint_path = (dir / "ck").string();
+  opts.health_check = true;
+  // Allocations of at least the state's size (every time level) in `fn`.
+  auto state_sized_allocs = [&](const std::function<void()>& fn) {
+    g_big_bytes.store(static_cast<std::size_t>(a.total_size()) *
+                      sizeof(double));
+    g_big_allocs.store(0);
+    g_counting.store(true);
+    fn();
+    g_counting.store(false);
+    return g_big_allocs.load();
+  };
+  const std::int64_t first = state_sized_allocs([&] {
+    EXPECT_TRUE(heat.run_supervised(steps, kern, opts).ok());
+  });
+  // A second run, killed after its second slab, and a resume that loads
+  // its checkpoint and finishes it reuse the first run's buffer.
+  resilience::FaultPlan kill;
+  kill.kill_after_slab = 1;
+  resilience::SupervisorOptions killed = opts;
+  killed.faults = &kill;
+  const std::int64_t second = state_sized_allocs([&] {
+    EXPECT_EQ(heat.run_supervised(steps, kern, killed).status,
+              resilience::RunStatus::kSimulatedCrash);
+  });
+  const std::int64_t resumed = state_sized_allocs([&] {
+    const resilience::RunReport rep = heat.resume(kern, opts);
+    EXPECT_TRUE(rep.ok()) << rep.message;
+    EXPECT_EQ(rep.steps_requested, steps / 2);
+  });
+  EXPECT_EQ(first, 1) << "first supervised run";
+  EXPECT_EQ(second, 0) << "second supervised run";
+  EXPECT_EQ(resumed, 0) << "resume";
+  EXPECT_EQ(heat.steps_done(), 3 * steps);
+  fs::remove_all(dir);
 }
 
 TEST(JsonLint, AcceptsValidDocuments) {
