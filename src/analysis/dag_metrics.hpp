@@ -124,7 +124,7 @@ class MetricsWalker {
  private:
   DagMetrics compute(const Zoid<D>& z) {
     const HyperCut<D> plan = plan_hyperspace_cut(
-        z, ctx_.sigma, ctx_.dx_threshold, ctx_.grid, max_dims_);
+        z, ctx_.reach, ctx_.dx_threshold, ctx_.grid, max_dims_);
     if (!plan.empty()) return space_cut(z, plan);
     if (z.height() > ctx_.dt_threshold) {
       const auto halves = time_cut(z);

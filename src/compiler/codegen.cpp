@@ -141,15 +141,9 @@ class Generator {
     }
   }
 
+  // A kernel the parser cannot analyze gets macro-shadow, as in the paper.
   bool kernel_uses_split(const KernelDecl& k) const {
-    if (mode_ == IndexMode::kSplitMacroShadow) return false;
-    if (k.analyzable) return true;
-    if (mode_ == IndexMode::kSplitPointer) {
-      // Mirrors the paper: when the compiler cannot "understand" the code it
-      // employs -split-macro-shadow, relying on Phase 1 for correctness.
-      return false;
-    }
-    return false;
+    return mode_ != IndexMode::kSplitMacroShadow && k.analyzable;
   }
 
   void emit_kernels() {
@@ -205,29 +199,25 @@ class Generator {
     return os.str();
   }
 
-  /// Figure 12(c): one C-style pointer per access term, walked down the
-  /// unit-stride dimension.
+  /// Figure 12(c) as a row clone f(t, idx, row_end): one C-style pointer
+  /// per access term, set up at the row start idx and walked down the
+  /// unit-stride dimension to row_end.  The library walks the rows.
   std::string split_pointer_base(const KernelDecl& k) const {
     const int d = k.dim;
     std::ostringstream os;
-    os << "auto " << k.name << "_pochoir_splitbase = [&](const pochoir::Zoid<"
-       << d << ">& _pz) {\n";
-    os << "  std::array<std::int64_t, " << d << "> _plo = _pz.x0;\n";
-    os << "  std::array<std::int64_t, " << d << "> _phi = _pz.x1;\n";
-    os << "  for (std::int64_t " << k.index_params[0] << " = _pz.t0; "
-       << k.index_params[0] << " < _pz.t1; ++" << k.index_params[0] << ") {\n";
-    std::string indent = "    ";
-    // Outer spatial loops over dims 0..d-2 use the kernel's own names.
+    os << "auto " << k.name << "_pochoir_splitbase = [&](std::int64_t "
+       << k.index_params[0] << ", const std::array<std::int64_t, " << d
+       << ">& _pidx, std::int64_t _prow_end) {\n";
+    // Outer coordinates (dims 0..d-2) take the kernel's own names.
     for (int i = 0; i + 1 < d; ++i) {
-      const std::string& v = k.index_params[static_cast<std::size_t>(i) + 1];
-      os << indent << "for (std::int64_t " << v << " = _plo[" << i << "]; "
-         << v << " < _phi[" << i << "]; ++" << v << ") {\n";
-      indent += "  ";
+      os << "  const std::int64_t "
+         << k.index_params[static_cast<std::size_t>(i) + 1] << " = _pidx["
+         << i << "];\n";
     }
     // Pointer setup for each access.
     for (std::size_t a = 0; a < k.accesses.size(); ++a) {
       const KernelAccess& acc = k.accesses[a];
-      os << indent << "auto* _pp" << a << " = " << acc.array << ".data() + "
+      os << "  auto* _pp" << a << " = " << acc.array << ".data() + "
          << "pochoir::mod_floor(" << k.index_params[0];
       if (acc.offsets[0] != 0) os << " + (" << acc.offsets[0] << ")";
       os << ", " << acc.array << ".time_levels()) * " << acc.array
@@ -239,7 +229,7 @@ class Generator {
         }
         os << ") * " << acc.array << ".stride(" << i << ")";
       }
-      os << " + (_plo[" << (d - 1) << "]";
+      os << " + (_pidx[" << (d - 1) << "]";
       if (acc.offsets[static_cast<std::size_t>(d)] != 0) {
         os << " + (" << acc.offsets[static_cast<std::size_t>(d)] << ")";
       }
@@ -247,22 +237,13 @@ class Generator {
     }
     // Innermost loop with pointer increments.
     const std::string& inner = k.index_params[static_cast<std::size_t>(d)];
-    os << indent << "for (std::int64_t " << inner << " = _plo[" << (d - 1)
-       << "]; " << inner << " < _phi[" << (d - 1) << "]; ++" << inner << ") {\n";
-    os << indent << "  " << rewrite_body_with_pointers(k) << "\n";
+    os << "  for (std::int64_t " << inner << " = _pidx[" << (d - 1) << "]; "
+       << inner << " < _prow_end; ++" << inner << ") {\n";
+    os << "    " << rewrite_body_with_pointers(k) << "\n";
     for (std::size_t a = 0; a < k.accesses.size(); ++a) {
-      os << indent << "  ++_pp" << a << ";\n";
+      os << "    ++_pp" << a << ";\n";
     }
-    os << indent << "}\n";
-    for (int i = 0; i + 1 < d; ++i) {
-      indent.resize(indent.size() - 2);
-      os << indent << "}\n";
-    }
-    os << "    for (int _pd = 0; _pd < " << d << "; ++_pd) {\n"
-       << "      _plo[_pd] += _pz.dx0[_pd];\n"
-       << "      _phi[_pd] += _pz.dx1[_pd];\n"
-       << "    }\n"
-       << "  }\n"
+    os << "  }\n"
        << "};";
     return os.str();
   }

@@ -11,9 +11,13 @@
 //   kernel          -> two clones: a checked boundary clone, plus either a
 //                      -split-macro-shadow interior clone (Figure 12(b):
 //                      access macros shadowed with .interior) or a
-//                      -split-pointer zoid base case (Figure 12(c):
-//                      C-style pointers walked down the unit-stride dim)
+//                      -split-pointer row clone (Figure 12(c): C-style
+//                      pointers set up at a row's start and walked down
+//                      the unit-stride dim)
 //   obj.Run(T, k)   -> run_cloned(...) or run_split(...)
+//
+// Every clone is a point or row function: the library walks each zoid's
+// rows and decides which points need checks, never the generated code.
 #pragma once
 
 #include <string>
@@ -33,7 +37,7 @@ enum class IndexMode {
 struct CodegenResult {
   std::string postsource;
   std::vector<std::string> diagnostics;
-  /// Kernels that ended up with pointer base cases (for tests/reporting).
+  /// Kernels that ended up with pointer row clones (for tests/reporting).
   std::vector<std::string> split_pointer_kernels;
 };
 

@@ -5,15 +5,13 @@
 
 namespace pochoir::psc {
 
-TranslateResult translate(const std::string& source, IndexMode mode) {
-  TranslateResult result;
+CodegenResult translate(const std::string& source, IndexMode mode) {
   const TokenStream tokens = lex(source);
   const ParsedSource parsed = parse(tokens);
-  for (const auto& d : parsed.diagnostics) result.diagnostics.push_back(d);
-  CodegenResult gen = generate(tokens, parsed, mode);
-  for (const auto& d : gen.diagnostics) result.diagnostics.push_back(d);
-  result.postsource = std::move(gen.postsource);
-  result.split_pointer_kernels = std::move(gen.split_pointer_kernels);
+  CodegenResult result = generate(tokens, parsed, mode);
+  result.diagnostics.insert(result.diagnostics.begin(),
+                            parsed.diagnostics.begin(),
+                            parsed.diagnostics.end());
   return result;
 }
 

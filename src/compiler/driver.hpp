@@ -7,16 +7,9 @@
 
 namespace pochoir::psc {
 
-struct TranslateResult {
-  std::string postsource;
-  std::vector<std::string> diagnostics;
-  std::vector<std::string> split_pointer_kernels;
-  bool ok = true;
-};
-
 /// Translates a Pochoir-compliant source (Phase 1) into optimized
-/// postsource (Phase 2).
-TranslateResult translate(const std::string& source,
-                          IndexMode mode = IndexMode::kAuto);
+/// postsource (Phase 2); the diagnostics are the parser's, then codegen's.
+CodegenResult translate(const std::string& source,
+                        IndexMode mode = IndexMode::kAuto);
 
 }  // namespace pochoir::psc

@@ -18,13 +18,14 @@
 // clone, reading through BoundaryView).  Boundary zoids go through
 // make_boundary_base, the one place where the virtual coordinates of
 // seam-crossing pieces become true ones: once per row, splitting each row
-// into checked flanks and an unchecked middle.  LinearStencil, the
-// Phase-1 clones and the traced runs supply their own row invoker and
-// point function to the same leaf.  The leaf reaches the engines — TRAP
-// (default), STRAP, or the loop baselines — as two type-erased
-// BaseCase<D> references through one private execute path, so the engines
-// are compiled once per (D, policy), never per kernel.  run() is
-// resumable: a second run(T') continues from step T, as in §2.
+// into checked flanks and an unchecked middle.  LinearStencil, pochoirc's
+// clones (a split-pointer row clone, or Phase-1 clones) and the traced
+// runs supply their own row invoker and point function to the same leaf,
+// so no run entry takes a zoid-level callable.  The leaf reaches the
+// engines — TRAP (default), STRAP, or the loop baselines — as two
+// type-erased BaseCase<D> references through one private execute path, so
+// the engines are compiled once per (D, policy), never per kernel.  run()
+// is resumable: a second run(T') continues from step T, as in §2.
 //
 // For long-running jobs, run_supervised() executes the same computation in
 // time slabs under the resilience layer (resilience/supervisor.hpp):
@@ -258,7 +259,8 @@ class Stencil {
       rep.message = "checkpoint already holds the full run";
       return rep;
     }
-    rs::RunReport sub = run_supervised(remaining, std::forward<K>(kernel), opts);
+    const auto [ib, bb] = make_leaf(kernel);
+    rs::RunReport sub = supervise(remaining, ib, bb, opts, /*restored=*/true);
     sub.resumed = true;
     return sub;
   }
@@ -311,18 +313,20 @@ class Stencil {
     execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
-  /// Runs with a custom interior *zoid* base (pointer-walking code from
-  /// pochoirc's -split-pointer mode, Figure 12(c)) and a Phase-1 style
-  /// boundary kernel for boundary zoids.
-  template <typename IB, typename KB>
-  void run_split(std::int64_t steps, IB&& interior_base, KB&& boundary_kernel,
-                 bool parallel = true) {
+  /// Runs with a row clone interior_row(t, idx, row_end) (pochoirc's
+  /// -split-pointer output, Figure 12(c): one pointer per access walked
+  /// down the row) and a Phase-1 style boundary kernel for the checked
+  /// points.  As in run_cloned, the row clone runs every row of an interior
+  /// zoid and the unchecked middle of a boundary zoid's rows.
+  template <typename RI, typename KB>
+  void run_split(std::int64_t steps, const RI& interior_row,
+                 KB&& boundary_kernel, bool parallel = true) {
     const auto pb = [&boundary_kernel](std::int64_t t,
                                        const std::array<std::int64_t, D>& idx) {
       detail::call_kernel<D>(boundary_kernel, t, idx);
     };
-    const auto bb = make_boundary_base(point_fn_as_row<D>(pb), pb);
-    execute(Algorithm::kTrap, parallel, steps, interior_base, bb);
+    const auto [ib, bb] = row_leaf(interior_row, pb);
+    execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
   /// Runs a tap-based linear stencil with the split-pointer base case
@@ -429,10 +433,12 @@ class Stencil {
 
   /// The supervisor loop over one leaf.  When the FaultPlan wants a hook it
   /// wraps the two erased base cases (never the kernel), so the hook sees
-  /// every base case once, with its point count.
+  /// every base case once, with its point count.  `restored`: the arrays
+  /// were just restored from snapshot_ (resume), which needs no capture.
   resilience::RunReport supervise(std::int64_t steps, BaseCase<D> ib,
                                   BaseCase<D> bb,
-                                  const resilience::SupervisorOptions& opts) {
+                                  const resilience::SupervisorOptions& opts,
+                                  bool restored = false) {
     namespace rs = resilience;
     auto hooked = [plan = opts.faults](BaseCase<D> base) {
       return [plan, base](const Zoid<D>& z) {
@@ -478,7 +484,8 @@ class Stencil {
     return rs::supervise(opts, steps, token, snapshot_,
                          captures ? array_views()
                                   : std::vector<rs::ArraySnapshot>{},
-                         steps_done_, run_slab, health, apply_faults);
+                         restored, steps_done_, run_slab, health,
+                         apply_faults);
   }
 
   /// The one execution path behind every run entry: validates the request,

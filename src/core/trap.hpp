@@ -72,7 +72,7 @@ class TrapWalker {
     trace::Span span(depth <= ctx_.trace_depth ? "zoid" : nullptr, depth);
 
     const HyperCut<D> plan = plan_hyperspace_cut(
-        z, ctx_.sigma, ctx_.dx_threshold, ctx_.grid, max_dims_);
+        z, ctx_.reach, ctx_.dx_threshold, ctx_.grid, max_dims_);
     if (!plan.empty()) {
       if (ctx_.stats != nullptr) ctx_.stats->on_space_cut();
       // Stack-resident buckets: the recursion node performs no heap

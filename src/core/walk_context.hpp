@@ -1,6 +1,7 @@
-// Shared walk parameters for TRAP/STRAP: stencil slopes, halo reach, grid
-// extents (for the interior/boundary zoid test), coarsening thresholds, and
-// the cooperative cancellation token polled at zoid granularity.
+// Shared walk parameters for TRAP/STRAP: the shape's reach (the cut slope
+// and the interior test's halo, one value for both), grid extents (for the
+// interior/boundary zoid test), coarsening thresholds, and the cooperative
+// cancellation token polled at zoid granularity.
 #pragma once
 
 #include <array>
@@ -16,7 +17,14 @@ namespace pochoir {
 
 template <int D>
 struct WalkContext {
-  std::array<std::int64_t, D> sigma{};
+  /// The cut slope and the halo of the interior test.  The walking slope
+  /// must respect anti-dependencies as well as data dependencies: with
+  /// depth k >= 2, the write at invocation t reuses the circular time level
+  /// holding grid time t-k, which readers at invocation t-1 may still need
+  /// at spatial distance up to reach_i (the shape's sigma_i only bounds
+  /// offset/span).  Using reach_i as the cut slope is safe for both
+  /// directions; for depth-1 stencils (every benchmark in the paper)
+  /// reach_i == sigma_i.
   std::array<std::int64_t, D> reach{};
   std::array<std::int64_t, D> grid{};
   std::int64_t dt_threshold = 1;
@@ -40,14 +48,6 @@ struct WalkContext {
                           const std::array<std::int64_t, D>& grid,
                           const Options<D>& opts) {
     WalkContext ctx;
-    // The walking slope must respect anti-dependencies as well as data
-    // dependencies: with depth k >= 2, the write at invocation t reuses the
-    // circular time level holding grid time t-k, which readers at
-    // invocation t-1 may still need at spatial distance up to reach_i
-    // (sigma_i only bounds offset/span).  Using reach_i as the cut slope is
-    // safe for both directions; for depth-1 stencils (every benchmark in
-    // the paper) reach_i == sigma_i, so nothing changes there.
-    ctx.sigma = shape.reaches();
     ctx.reach = shape.reaches();
     ctx.grid = grid;
     ctx.dt_threshold = opts.dt_threshold < 1 ? 1 : opts.dt_threshold;

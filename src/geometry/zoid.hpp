@@ -5,9 +5,10 @@
 // x0/x1 give the base at time t0; dx0/dx1 are the (inverse) slopes of the
 // sides, in grid points per time step.
 //
-// for_each_row is the one loop nest over a zoid's points: every base case
-// walks unit-stride rows, and for_each_point is for_each_row over the row
-// adapter point_fn_as_row.
+// for_each_row is the one loop nest over a zoid's points, compiled output
+// included: every base case walks unit-stride rows, pochoirc's
+// -split-pointer clone is a row function it calls, and for_each_point is
+// for_each_row over the row adapter point_fn_as_row.
 #pragma once
 
 #include <array>

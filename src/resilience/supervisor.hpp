@@ -125,6 +125,8 @@ inline bool protects(const SupervisorOptions& opts, const CancelToken* token) {
 /// the rollback point and the checkpoint image, and `steps_done` the
 /// caller's step counter (rolled back with the arrays).  `live` may be
 /// empty when neither protects() nor a checkpoint path asks for a capture.
+/// `restored` says the caller has just restored `live` from `snap` (a
+/// resume), so `snap` already holds the opening rollback point.
 /// Callbacks:
 ///   run_slab(n, serial)   execute n steps (serial=true forces the loops
 ///                         engine on the calling thread); throws on failure
@@ -133,7 +135,7 @@ inline bool protects(const SupervisorOptions& opts, const CancelToken* token) {
 template <typename RunSlab, typename Health, typename ApplyFaults>
 RunReport supervise(const SupervisorOptions& opts, std::int64_t steps,
                     CancelToken* token, Snapshot& snap,
-                    const std::vector<ArraySnapshot>& live,
+                    const std::vector<ArraySnapshot>& live, bool restored,
                     std::int64_t& steps_done, RunSlab&& run_slab,
                     Health&& health, ApplyFaults&& apply_faults) {
   RunReport rep;
@@ -177,7 +179,7 @@ RunReport supervise(const SupervisorOptions& opts, std::int64_t steps,
                     std::to_string(w.attempts) + " attempts: " + w.error;
     }
   };
-  if (protect) capture();
+  if (protect && !restored) capture();
 
   std::int64_t done = 0;
   std::int64_t slab_index = 0;

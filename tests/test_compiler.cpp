@@ -179,6 +179,17 @@ TEST(Codegen, SplitPointerMode) {
   EXPECT_EQ(result.split_pointer_kernels[0], "heat_fn");
 }
 
+TEST(Codegen, SplitPointerCloneIsARowFunction) {
+  // The clone walks one row from idx to row_end; the library walks the
+  // zoid's rows, so no zoid, time loop or outer loop is emitted.
+  const auto result = translate(kHeatSource, IndexMode::kSplitPointer);
+  const std::string& post = result.postsource;
+  EXPECT_EQ(post.find("pochoir::Zoid<"), std::string::npos);
+  EXPECT_NE(post.find("heat_fn_pochoir_splitbase = [&](std::int64_t t, "
+                      "const std::array<std::int64_t, 2>&"),
+            std::string::npos);
+}
+
 TEST(Codegen, AutoPrefersSplitPointer) {
   const auto result = translate(kHeatSource, IndexMode::kAuto);
   EXPECT_EQ(result.split_pointer_kernels.size(), 1u);

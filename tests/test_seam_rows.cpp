@@ -6,9 +6,11 @@
 // thresholds (dt 1-8, dx 2-5) let seam triangles reach the base case
 // uncut, so rows cross the seam at odd offsets and outer coordinates lie
 // past the edge.  Every engine (TRAP, STRAP, loops; serial and parallel)
-// and the Phase-1 clones of run_cloned must be bit-identical to the loops
+// and the Phase-1 clones of run_cloned and run_split (a row clone, as
+// pochoirc's -split-pointer output is) must be bit-identical to the loops
 // with every point checked, where no row splitter runs; the Phase-1
-// boundary clone must never see a coordinate outside the grid; and the
+// boundary clone must never see a coordinate outside the grid, and
+// run_split must hand it exactly the points that run_cloned does; and the
 // split-pointer path (run_linear) must agree with itself serial vs
 // parallel and with the generic kernel to 1e-12.
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/boundary.hpp"
@@ -139,6 +142,30 @@ std::unique_ptr<Array<double, D>> checked_reference(const SeamCase<D>& c,
   });
 }
 
+/// Runs the case through Phase-1 clones, which close over the array as
+/// pochoirc's output does: `entry(stencil, phase1, boundary)` picks the
+/// run entry.  The boundary clone counts its calls and every coordinate
+/// off the grid that it sees.
+template <int D, typename Kern, typename Entry>
+std::unique_ptr<Array<double, D>> run_phase1(
+    const SeamCase<D>& c, const Shape<D>& shape, const Kern& kern,
+    std::atomic<std::int64_t>& off_grid,
+    std::atomic<std::int64_t>& boundary_calls, Entry entry) {
+  return run_case(c, shape, [&](auto& st, auto& a) {
+    auto phase1 = [&a, &kern](std::int64_t t, auto... x) {
+      kern(t, x..., Phase1View<D>{&a});
+    };
+    auto boundary = [&](std::int64_t t, auto... x) {
+      boundary_calls.fetch_add(1, std::memory_order_relaxed);
+      if (!a.in_domain({x...})) {
+        off_grid.fetch_add(1, std::memory_order_relaxed);
+      }
+      phase1(t, x...);
+    };
+    entry(st, phase1, boundary);
+  });
+}
+
 template <int D, typename Kern>
 void check_engines(const SeamCase<D>& c, const Shape<D>& shape,
                    const Kern& kern) {
@@ -160,21 +187,37 @@ void check_engines(const SeamCase<D>& c, const Shape<D>& shape,
   }
   for (bool parallel : {false, true}) {
     std::atomic<std::int64_t> off_grid{0};
-    const auto got = run_case(c, shape, [&](auto& st, auto& a) {
-      auto phase1 = [&a, &kern](std::int64_t t, auto... x) {
-        kern(t, x..., Phase1View<D>{&a});
-      };
-      auto boundary = [&](std::int64_t t, auto... x) {
-        if (!a.in_domain({x...})) {
-          off_grid.fetch_add(1, std::memory_order_relaxed);
-        }
-        phase1(t, x...);
-      };
-      st.run_cloned(c.steps, phase1, boundary, parallel);
-    });
+    std::atomic<std::int64_t> cloned_calls{0};
+    const auto got = run_phase1(
+        c, shape, kern, off_grid, cloned_calls,
+        [&](auto& st, auto& phase1, auto& boundary) {
+          st.run_cloned(c.steps, phase1, boundary, parallel);
+        });
     EXPECT_EQ(off_grid.load(), 0) << c.describe();
     EXPECT_TRUE(same_bits(*ref, *got))
         << c.describe() << ", run_cloned" << (parallel ? ", parallel" : "");
+
+    // run_split with a row clone, as pochoirc's -split-pointer mode emits
+    // it: the same leaf as run_cloned, so the same checked points.
+    std::atomic<std::int64_t> split_off_grid{0};
+    std::atomic<std::int64_t> split_calls{0};
+    const auto split = run_phase1(
+        c, shape, kern, split_off_grid, split_calls,
+        [&](auto& st, auto& phase1, auto& boundary) {
+          auto row = [&phase1](std::int64_t t,
+                               const std::array<std::int64_t, D>& idx,
+                               std::int64_t row_end) {
+            for (auto i = idx; i[D - 1] < row_end; ++i[D - 1]) {
+              std::apply([&](auto... x) { phase1(t, x...); }, i);
+            }
+          };
+          st.run_split(c.steps, row, boundary, parallel);
+        });
+    const std::string what = c.describe() + ", run_split" +
+                             (parallel ? ", parallel" : "");
+    EXPECT_EQ(split_off_grid.load(), 0) << what;
+    EXPECT_TRUE(same_bits(*ref, *split)) << what;
+    EXPECT_EQ(split_calls.load(), cloned_calls.load()) << what;
   }
 }
 

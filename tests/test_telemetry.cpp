@@ -5,9 +5,11 @@
 // off-by-default allocation-free guarantee, a Registry that keeps only
 // counted or exported sessions, and the RunReport timing fields,
 // restore_point spans and once-allocated snapshot buffer of supervised
-// runs.
+// runs, and a resume that rolls back to the generation it restored
+// without capturing it again.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -350,10 +352,11 @@ TEST(TelemetryTrace, EveryRunEntryOpensOneStencilRunSpan) {
                      0.125 * (a(t, x - 1, y) + a(t, x + 1, y) +
                               a(t, x, y - 1) + a(t, x, y + 1));
   };
-  auto split_base = [&phase1](const Zoid<2>& z) {
-    for_each_point(z, [&](std::int64_t t, const std::array<std::int64_t, 2>& i) {
-      phase1(t, i[0], i[1]);
-    });
+  // A row clone over it, the unit of pochoirc's -split-pointer output.
+  auto split_row = [&phase1](std::int64_t t,
+                             const std::array<std::int64_t, 2>& i,
+                             std::int64_t row_end) {
+    for (std::int64_t y = i[1]; y < row_end; ++y) phase1(t, i[0], y);
   };
   TouchCounter sink;
 
@@ -387,7 +390,7 @@ TEST(TelemetryTrace, EveryRunEntryOpensOneStencilRunSpan) {
        [&] { heat.run_traced(Algorithm::kTrap, steps, kern, sink); }},
       {"run_debug", [&] { heat.run_debug(steps, kern); }},
       {"run_cloned", [&] { heat.run_cloned(steps, phase1, phase1); }},
-      {"run_split", [&] { heat.run_split(steps, split_base, phase1); }},
+      {"run_split", [&] { heat.run_split(steps, split_row, phase1); }},
       {"run_linear",
        [&] { heat.run_linear(steps, stencils::heat_linear<2>(c)); }},
   };
@@ -534,6 +537,72 @@ TEST(TelemetrySupervised, EveryRestorePointCaptureOpensOneSpan) {
   EXPECT_EQ(count_spans("restore_point", sliced), 4u);
   // The default options protect nothing, so nothing is captured.
   EXPECT_EQ(count_spans("restore_point", plain), 0u);
+}
+
+/// A 2D heat Stencil whose supervised run of 8 steps in 2-step slabs
+/// (checkpoints under `dir`) was killed after its second slab: generation 2
+/// on disk holds 4 steps, and so do the arrays.
+struct KilledRun {
+  static constexpr std::int64_t kN = 24;
+  Array<double, 2> a{{kN, kN}, stencils::heat_shape<2>().depth()};
+  Stencil<2, double> heat{stencils::heat_shape<2>()};
+  decltype(stencils::heat_kernel_2d({})) kern =
+      stencils::heat_kernel_2d({0.125, 0.125});
+  resilience::SupervisorOptions opts;
+
+  explicit KilledRun(const std::filesystem::path& dir) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    a.register_boundary(dirichlet_boundary<double, 2>(0.0));
+    stencils::fill_random(a, 0, 0.0, 1.0);
+    heat.register_arrays(a);
+    opts.slab_steps = 2;
+    opts.checkpoint_path = (dir / "ck").string();
+    resilience::FaultPlan kill;
+    kill.kill_after_slab = 1;
+    resilience::SupervisorOptions killed = opts;
+    killed.faults = &kill;
+    EXPECT_EQ(heat.run_supervised(8, kern, killed).status,
+              resilience::RunStatus::kSimulatedCrash);
+  }
+};
+
+TEST(TelemetrySupervised, ResumeDoesNotRecaptureTheRestoredState) {
+  const std::filesystem::path dir = "telemetry_test_resume_spans";
+  KilledRun run(dir);
+  ASSERT_EQ(run.heat.steps_done(), 4);
+  // Two 2-step slabs left: the restored generation is the opening rollback
+  // point, so only the two slab boundaries capture (the second to write
+  // its checkpoint).
+  const std::size_t spans = count_spans("restore_point", [&] {
+    const resilience::RunReport rep = run.heat.resume(run.kern, run.opts);
+    EXPECT_TRUE(rep.ok()) << rep.message;
+    EXPECT_EQ(rep.slabs_completed, 2);
+  });
+  EXPECT_EQ(spans, 2u);
+  EXPECT_EQ(run.heat.steps_done(), 8);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TelemetrySupervised, CancelledResumeRollsBackToTheLoadedGeneration) {
+  const std::filesystem::path dir = "telemetry_test_resume_cancel";
+  KilledRun run(dir);
+  // The arrays hold what generation 2 holds; scribble over them so only
+  // the resume's restore can bring it back.
+  const std::vector<double> loaded(run.a.data(),
+                                   run.a.data() + run.a.total_size());
+  std::fill(run.a.data(), run.a.data() + run.a.total_size(), -1.0);
+  run.heat.reset();
+  resilience::FaultPlan cancel;
+  cancel.cancel_at_slab = 0;
+  resilience::SupervisorOptions opts = run.opts;
+  opts.faults = &cancel;
+  const resilience::RunReport rep = run.heat.resume(run.kern, opts);
+  EXPECT_EQ(rep.status, resilience::RunStatus::kCancelled) << rep.message;
+  EXPECT_EQ(rep.steps_completed, 0);
+  EXPECT_EQ(run.heat.steps_done(), 4);
+  EXPECT_TRUE(std::equal(loaded.begin(), loaded.end(), run.a.data()));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TelemetrySupervised, SnapshotBufferIsAllocatedOnce) {

@@ -109,8 +109,7 @@ WalkContext<D> random_context(Rng& rng) {
   WalkContext<D> ctx;
   for (int i = 0; i < D; ++i) {
     const auto s = static_cast<std::size_t>(i);
-    ctx.sigma[s] = rng.next_below(3);  // 0 (no dependency), 1, or 2
-    ctx.reach[s] = ctx.sigma[s];
+    ctx.reach[s] = rng.next_below(3);  // 0 (no dependency), 1, or 2
     ctx.grid[s] = 4 + rng.next_below(D == 1 ? 40 : 14);
     ctx.dx_threshold[s] = 1 + rng.next_below(8);
   }
@@ -240,7 +239,6 @@ TEST(SubzoidLevels, MatchesReferenceEnumeration) {
 /// recursion, base-case dispatch — performs zero heap allocations.
 TEST(WalkAllocation, SerialTrapWalkIsAllocationFree) {
   WalkContext<2> ctx;
-  ctx.sigma = {1, 1};
   ctx.reach = {1, 1};
   ctx.grid = {64, 64};
   ctx.dt_threshold = 3;
@@ -260,7 +258,6 @@ TEST(WalkAllocation, SerialTrapWalkIsAllocationFree) {
 
 TEST(WalkAllocation, SerialStrapWalkIsAllocationFree) {
   WalkContext<2> ctx;
-  ctx.sigma = {1, 1};
   ctx.reach = {1, 1};
   ctx.grid = {48, 48};
   ctx.dt_threshold = 2;
@@ -280,7 +277,6 @@ TEST(WalkAllocation, SerialStrapWalkIsAllocationFree) {
 
 TEST(WalkAllocation, SerialTrapWalk4DIsAllocationFree) {
   WalkContext<4> ctx;
-  ctx.sigma = {1, 1, 1, 1};
   ctx.reach = {1, 1, 1, 1};
   ctx.grid = {10, 10, 10, 10};
   ctx.dt_threshold = 2;
