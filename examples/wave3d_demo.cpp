@@ -1,7 +1,6 @@
 // 3D finite-difference wave equation (the paper's Wave 3 benchmark):
 // a Gaussian pulse in a periodic box, evolved with the depth-2 stencil;
-// demonstrates multi-time-level initial conditions and the split-pointer
-// fast path for linear stencils.
+// demonstrates multi-time-level initial conditions.
 #include <pochoir/pochoir.hpp>
 
 #include <cmath>
@@ -34,7 +33,7 @@ int main() {
   wave.register_arrays(u);
 
   Timer timer;
-  wave.run_linear(T, stencils::wave_linear(c2));  // split-pointer base case
+  wave.run(T, stencils::wave_kernel(c2));
   const double secs = timer.seconds();
 
   const std::int64_t rt = wave.result_time();

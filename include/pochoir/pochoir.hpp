@@ -6,7 +6,8 @@
 // Boundaries:   periodic_boundary, dirichlet_boundary, neumann_boundary, mixed_boundary
 // Algorithms:   Algorithm::{kTrap,kStrap,kLoopsParallel,kLoopsSerial}
 // Tuning:       Options<D>, autotune_coarsening
-// Fast path:    LinearStencil<T,D> (split-pointer base cases)
+// Postsource:   Stencil::run_cloned/run_split, the entries of pochoirc's
+//               -split-macro-shadow and -split-pointer output (§4)
 // Analysis:     analyze_trap/analyze_strap, CacheSim
 // Resilience:   Stencil::run_supervised/resume, RunReport, SupervisorOptions,
 //               CancelToken, FaultPlan, pochoir::Error
@@ -20,7 +21,6 @@
 #include "core/array.hpp"
 #include "core/autotune.hpp"
 #include "core/boundary.hpp"
-#include "core/linear_stencil.hpp"
 #include "core/loops.hpp"
 #include "core/options.hpp"
 #include "core/shape.hpp"

@@ -128,18 +128,6 @@ struct ParsedSource {
     }
     return nullptr;
   }
-  [[nodiscard]] const ObjectDecl* find_object(const std::string& name) const {
-    for (const auto& o : objects) {
-      if (o.name == name) return &o;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] const KernelDecl* find_kernel(const std::string& name) const {
-    for (const auto& k : kernels) {
-      if (k.name == name) return &k;
-    }
-    return nullptr;
-  }
 };
 
 }  // namespace pochoir::psc

@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -237,9 +236,6 @@ class Array {
   /// registration replaces the previous one, as in §2).
   void register_boundary(BoundaryFn<T, D> fn) { boundary_ = std::move(fn); }
 
-  /// True once a boundary function has been registered.
-  [[nodiscard]] bool has_boundary() const { return static_cast<bool>(boundary_); }
-
   [[nodiscard]] const BoundaryFn<T, D>& boundary() const { return boundary_; }
 
   // --- Phase-1 proxy access (Figure 6 semantics) ---------------------------
@@ -265,15 +261,6 @@ class Array {
   void fill_time(std::int64_t t, F&& f) {
     std::array<std::int64_t, D> idx{};
     fill_rec<0>(t, idx, f);
-  }
-
-  /// Pretty printer (the paper overloads << for Pochoir arrays).  Prints
-  /// the newest time level for 1D/2D arrays, a summary otherwise.
-  friend std::ostream& operator<<(std::ostream& os, const Array& a) {
-    os << "Pochoir_Array<" << D << "d> extents=";
-    for (int i = 0; i < D; ++i) os << (i != 0 ? "x" : "") << a.extent(i);
-    os << " levels=" << a.levels_ << "\n";
-    return os;
   }
 
  private:

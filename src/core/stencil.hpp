@@ -18,14 +18,14 @@
 // clone, reading through BoundaryView).  Boundary zoids go through
 // make_boundary_base, the one place where the virtual coordinates of
 // seam-crossing pieces become true ones: once per row, splitting each row
-// into checked flanks and an unchecked middle.  LinearStencil, pochoirc's
-// clones (a split-pointer row clone, or Phase-1 clones) and the traced
-// runs supply their own row invoker and point function to the same leaf,
-// so no run entry takes a zoid-level callable.  The leaf reaches the
-// engines — TRAP (default), STRAP, or the loop baselines — as two
-// type-erased BaseCase<D> references through one private execute path, so
-// the engines are compiled once per (D, policy), never per kernel.  run()
-// is resumable: a second run(T') continues from step T, as in §2.
+// into checked flanks and an unchecked middle.  pochoirc's clones (a
+// split-pointer row clone, or Phase-1 clones) and the traced runs supply
+// their own row invoker and point function to the same leaf, so no run
+// entry takes a zoid-level callable.  The leaf reaches the engines — TRAP
+// (default), STRAP, or the loop baselines — as two type-erased BaseCase<D>
+// references through one private execute path, so the engines are
+// compiled once per (D, policy), never per kernel.  run() is resumable: a
+// second run(T') continues from step T, as in §2.
 //
 // For long-running jobs, run_supervised() executes the same computation in
 // time slabs under the resilience layer (resilience/supervisor.hpp):
@@ -329,35 +329,6 @@ class Stencil {
     execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
-  /// Runs a tap-based linear stencil with the split-pointer base case
-  /// (Figure 12(c)); single-array stencils only.  The LinearStencil's shape
-  /// must fit this object's: the same home_dt, and no larger depth or
-  /// reach (the arrays and the interior test are sized from this shape).
-  template <typename LS>
-  void run_linear(std::int64_t steps, const LS& lin, bool parallel = true) {
-    static_assert(sizeof...(Ts) == 1,
-                  "split-pointer base cases support one array");
-    detail::check_usage(registered_,
-                        "register_arrays must be called before running");
-    const Shape<D> lin_shape = lin.shape();
-    detail::check_usage(lin_shape.home_dt() == shape_.home_dt(),
-                        "linear stencil home_dt differs from the shape's");
-    detail::check_usage(lin_shape.depth() <= shape_.depth(),
-                        "linear stencil is deeper than the shape");
-    for (int i = 0; i < D; ++i) {
-      detail::check_usage(lin_shape.reach(i) <= shape_.reach(i),
-                          "linear stencil reaches beyond the shape");
-    }
-    auto* const a = std::get<0>(arrays_);
-    const auto [ib, bb] = row_leaf(
-        [a, &lin](std::int64_t t, const std::array<std::int64_t, D>& idx,
-                  std::int64_t row_end) { lin.row(*a, t, idx, row_end); },
-        [a, &lin](std::int64_t t, const std::array<std::int64_t, D>& idx) {
-          lin.point(*a, t, idx);
-        });
-    execute(Algorithm::kTrap, parallel, steps, ib, bb);
-  }
-
  private:
   /// User-input checks shared by every run entry point; throws
   /// pochoir::Error (misuse), never aborts (reserved for internal bugs).
@@ -469,7 +440,7 @@ class Stencil {
       if (serial) {
         execute(Algorithm::kLoopsSerial, /*parallel=*/false, n, ib, bb);
       } else {
-        execute(opts.algorithm, opts.parallel, n, ib, bb);
+        execute(Algorithm::kTrap, /*parallel=*/true, n, ib, bb);
       }
     };
     auto health = [&] { return health_scan(opts.divergence_limit); };

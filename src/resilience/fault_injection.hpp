@@ -7,10 +7,8 @@
 // simulated process kill after a chosen slab.  The supervisor arms the
 // plan at each slab boundary (begin_slab); the base-case hook and the IO
 // seam consume armed faults exactly once, so a degraded retry of the same
-// slab does not re-fail.
-//
-// The optional seed drives probabilistic IO failures for fuzz tests; all
-// other knobs are explicit sites so every recovery path can be pinned.
+// slab does not re-fail.  Every knob is an explicit site, so every recovery
+// path can be pinned.
 #pragma once
 
 #include <atomic>
@@ -18,21 +16,14 @@
 
 #include "support/cancellation.hpp"
 #include "support/error.hpp"
-#include "support/rng.hpp"
 
 namespace pochoir::resilience {
 
 struct FaultPlan {
   // --- configuration (set once, before the run) ---------------------------
 
-  /// Seed for probabilistic faults; 0 keeps them off unless a probability
-  /// is set explicitly.
-  std::uint64_t seed = 0;
-
   /// Fail the first N checkpoint write *attempts* (each retry consumes one).
   int checkpoint_io_failures = 0;
-  /// Additionally fail each attempt with this probability, drawn from `seed`.
-  double checkpoint_io_failure_prob = 0.0;
 
   /// After the slab with this index completes, overwrite one element of the
   /// first registered array (flat storage index `poison_flat_index`) with a
@@ -103,11 +94,6 @@ struct FaultPlan {
         return true;
       }
     }
-    if (checkpoint_io_failure_prob > 0.0) {
-      std::uint64_t s = io_rng_state_.fetch_add(1, std::memory_order_relaxed);
-      Rng rng(seed ^ (s * 0x9E3779B97F4A7C15ull));
-      return rng.uniform(0.0, 1.0) < checkpoint_io_failure_prob;
-    }
     return false;
   }
 
@@ -117,7 +103,6 @@ struct FaultPlan {
   std::atomic<bool> task_failure_armed_{false};
   std::atomic<bool> cancel_armed_{false};
   std::atomic<int> io_budget_{0};
-  std::atomic<std::uint64_t> io_rng_state_{0};
 };
 
 }  // namespace pochoir::resilience

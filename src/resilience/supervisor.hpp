@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/options.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault_injection.hpp"
 #include "support/cancellation.hpp"
@@ -101,9 +100,6 @@ struct SupervisorOptions {
 
   /// Retry a failed slab on the serial loops engine before giving up.
   bool degrade_to_serial = true;
-
-  Algorithm algorithm = Algorithm::kTrap;
-  bool parallel = true;
 
   /// External cancellation; may be null.  A deadline (>= 0, milliseconds
   /// from run start) is armed on this token, or on an internal one.

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/linear_stencil.hpp"
 #include "core/shape.hpp"
 
 namespace pochoir::stencils {
@@ -71,25 +70,6 @@ inline auto heat_kernel_4d(HeatCoeffs<4> c) {
         c[2] * (u(t, x, y, z + 1, w) - 2 * u(t, x, y, z, w) + u(t, x, y, z - 1, w)) +
         c[3] * (u(t, x, y, z, w + 1) - 2 * u(t, x, y, z, w) + u(t, x, y, z, w - 1));
   };
-}
-
-/// The same update as a tap list for the split-pointer path (Figure 12(c)).
-template <int D>
-LinearStencil<double, D> heat_linear(const HeatCoeffs<D>& c) {
-  using LS = LinearStencil<double, D>;
-  std::vector<typename LS::Tap> taps;
-  double center = 1.0;
-  for (int i = 0; i < D; ++i) center -= 2 * c[static_cast<std::size_t>(i)];
-  taps.push_back({0, {}, center});
-  for (int i = 0; i < D; ++i) {
-    typename LS::Tap plus{0, {}, c[static_cast<std::size_t>(i)]};
-    plus.dx[i] = 1;
-    taps.push_back(plus);
-    typename LS::Tap minus{0, {}, c[static_cast<std::size_t>(i)]};
-    minus.dx[i] = -1;
-    taps.push_back(minus);
-  }
-  return LS(1, std::move(taps));
 }
 
 }  // namespace pochoir::stencils

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/linear_stencil.hpp"
 #include "core/shape.hpp"
 
 namespace pochoir::stencils {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/linear_stencil.hpp"
 #include "core/shape.hpp"
 
 namespace pochoir::stencils {
@@ -40,23 +39,6 @@ inline auto wave_kernel(double c2) {
               u(t, x, y - 1, z) + u(t, x, y, z + 1) + u(t, x, y, z - 1) -
               6 * u(t, x, y, z));
   };
-}
-
-/// Tap form for the split-pointer path.
-inline LinearStencil<double, 3> wave_linear(double c2) {
-  using LS = LinearStencil<double, 3>;
-  std::vector<LS::Tap> taps;
-  taps.push_back({0, {0, 0, 0}, 2 - 6 * c2});
-  taps.push_back({-1, {0, 0, 0}, -1.0});
-  for (int i = 0; i < 3; ++i) {
-    LS::Tap plus{0, {}, c2};
-    plus.dx[i] = 1;
-    taps.push_back(plus);
-    LS::Tap minus{0, {}, c2};
-    minus.dx[i] = -1;
-    taps.push_back(minus);
-  }
-  return LS(1, std::move(taps));
 }
 
 }  // namespace pochoir::stencils

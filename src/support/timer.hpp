@@ -38,12 +38,4 @@ class Timer {
   std::uint64_t start_ns_;
 };
 
-/// Times a callable and returns elapsed seconds.
-template <typename F>
-double timed_seconds(F&& f) {
-  Timer t;
-  f();
-  return t.seconds();
-}
-
 }  // namespace pochoir

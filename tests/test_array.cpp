@@ -1,8 +1,6 @@
 // Tests for Array<T,D>: layout, circular time levels, checked access (§2).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/array.hpp"
 #include "core/boundary.hpp"
 
@@ -121,13 +119,6 @@ TEST(Array, StructCells) {
   arr.interior(0, 3) = {7, 2.5};
   EXPECT_EQ(arr.interior(0, 3).a, 7);
   EXPECT_EQ(arr.interior(0, 3).b, 2.5);
-}
-
-TEST(Array, StreamOperatorPrintsSummary) {
-  Array<double, 2> a({2, 3});
-  std::ostringstream os;
-  os << a;
-  EXPECT_NE(os.str().find("2x3"), std::string::npos);
 }
 
 TEST(Array, SixtyFourByteAligned) {

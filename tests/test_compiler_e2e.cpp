@@ -1,7 +1,7 @@
 // End-to-end test of the Pochoir Guarantee: a Phase-1 program is translated
 // by pochoirc, both are compiled with the compiler that builds this suite,
 // and both must print bit-identical results — in each loop-indexing mode,
-// for a 2D periodic and a 3D Dirichlet program.
+// for a 1D clamped, a 2D periodic and a 3D Dirichlet program.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -87,6 +87,13 @@ class CompilerE2E : public ::testing::Test {
     EXPECT_EQ(run_to_string(dir + "/phase2_split"), phase1);
   }
 };
+
+// In 1D the unit-stride dimension is the whole grid: the row clone walks
+// the rows of interior zoids and the middle of every boundary zoid's rows.
+TEST_F(CompilerE2E, OneDimensionalProgramAgreesInBothModes) {
+  expect_modes_agree(src_dir() + "/tests/fixtures/heat1d_clamped.cpp",
+                     "heat1d");
+}
 
 TEST_F(CompilerE2E, PhaseOneAndBothPhaseTwoModesAgree) {
   expect_modes_agree(src_dir() + "/tests/fixtures/heat2d_periodic.cpp",

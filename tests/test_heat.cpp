@@ -87,13 +87,5 @@ TEST(Heat, FourDStencilRuns) {
   EXPECT_NEAR(stencils::checksum(u, st.result_time()), before, 1e-8 * before);
 }
 
-TEST(Heat, LinearTapsSumToOne) {
-  // Conservation at the coefficient level: taps of the heat update sum to 1.
-  const auto lin = stencils::heat_linear<3>({0.1, 0.15, 0.2});
-  double total = 0;
-  for (const auto& tap : lin.taps()) total += tap.coeff;
-  EXPECT_NEAR(total, 1.0, 1e-15);
-}
-
 }  // namespace
 }  // namespace pochoir

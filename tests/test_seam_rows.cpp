@@ -10,14 +10,10 @@
 // pochoirc's -split-pointer output is) must be bit-identical to the loops
 // with every point checked, where no row splitter runs; the Phase-1
 // boundary clone must never see a coordinate outside the grid, and
-// run_split must hand it exactly the points that run_cloned does; and the
-// split-pointer path (run_linear) must agree with itself serial vs
-// parallel and with the generic kernel to 1e-12.
+// run_split must hand it exactly the points that run_cloned does.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -26,7 +22,6 @@
 #include <vector>
 
 #include "core/boundary.hpp"
-#include "core/linear_stencil.hpp"
 #include "core/stencil.hpp"
 #include "stencils/heat.hpp"
 #include "stencils/wave.hpp"
@@ -97,15 +92,6 @@ bool same_bits(const Array<double, D>& a, const Array<double, D>& b) {
   return std::memcmp(a.data(), b.data(),
                      static_cast<std::size_t>(a.total_size()) *
                          sizeof(double)) == 0;
-}
-
-template <int D>
-double max_abs_diff(const Array<double, D>& a, const Array<double, D>& b) {
-  double m = 0;
-  for (std::int64_t k = 0; k < a.total_size(); ++k) {
-    m = std::max(m, std::abs(a.data()[k] - b.data()[k]));
-  }
-  return m;
 }
 
 /// The Phase-1 view: the kernel reads and writes through the array's own
@@ -221,22 +207,6 @@ void check_engines(const SeamCase<D>& c, const Shape<D>& shape,
   }
 }
 
-template <int D, typename Kern, typename Lin>
-void check_linear(const SeamCase<D>& c, const Shape<D>& shape,
-                  const Kern& kern, const Lin& lin) {
-  const auto ref = checked_reference(c, shape, kern);
-  const auto serial = run_case(c, shape, [&](auto& st, auto&) {
-    st.run_linear(c.steps, lin, /*parallel=*/false);
-  });
-  const auto parallel = run_case(c, shape, [&](auto& st, auto&) {
-    st.run_linear(c.steps, lin, /*parallel=*/true);
-  });
-  EXPECT_TRUE(same_bits(*serial, *parallel)) << c.describe();
-  // The tap form folds the center coefficient, so floating-point
-  // association differs from the generic kernel.
-  EXPECT_LE(max_abs_diff(*ref, *serial), 1e-12) << c.describe();
-}
-
 std::vector<SeamCase<1>> cases_1d() {
   return seam_cases<1>(
       {{1}, {3}, {5}, {13}, {17}, {29}, {31}, {131}},
@@ -299,23 +269,6 @@ TEST(SeamRows, Wave3D) {
   const auto kern = stencils::wave_kernel(0.07);
   for (const auto& c : cases_3d()) {
     check_engines(c, stencils::wave_shape(), kern);
-  }
-}
-
-TEST(SeamRows, LinearHeat2D) {
-  const stencils::HeatCoeffs<2> coeffs = {0.11, 0.13};
-  const auto kern = stencils::heat_kernel_2d(coeffs);
-  const auto lin = stencils::heat_linear<2>(coeffs);
-  for (const auto& c : cases_2d()) {
-    check_linear(c, stencils::heat_shape<2>(), kern, lin);
-  }
-}
-
-TEST(SeamRows, LinearWave3D) {
-  const auto kern = stencils::wave_kernel(0.07);
-  const auto lin = stencils::wave_linear(0.07);
-  for (const auto& c : cases_3d()) {
-    check_linear(c, stencils::wave_shape(), kern, lin);
   }
 }
 

@@ -391,8 +391,6 @@ TEST(TelemetryTrace, EveryRunEntryOpensOneStencilRunSpan) {
       {"run_debug", [&] { heat.run_debug(steps, kern); }},
       {"run_cloned", [&] { heat.run_cloned(steps, phase1, phase1); }},
       {"run_split", [&] { heat.run_split(steps, split_row, phase1); }},
-      {"run_linear",
-       [&] { heat.run_linear(steps, stencils::heat_linear<2>(c)); }},
   };
   for (const auto& [name, call] : entries) {
     EXPECT_EQ(count_spans("stencil_run", call), 1u) << name;
