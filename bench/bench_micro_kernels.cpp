@@ -1,8 +1,13 @@
-// Micro-benchmarks (google-benchmark): per-access costs of the three kernel
-// access paths (interior clone, boundary clone, Phase-1 proxy), the
-// work-stealing deque, and the cache simulator.  These quantify the
-// constant factors behind the paper's §4 optimizations.
+// Micro-benchmarks (google-benchmark): per-access costs of the kernel
+// access paths (the interior clone's row view; the boundary clone's
+// checked row view, inlining a BoundaryRule or calling a BoundaryFn; the
+// per-point BoundaryView of the checked-everywhere reference; the Phase-1
+// proxy), the work-stealing deque, and the cache simulator.  These
+// quantify the constant factors behind the paper's §4 optimizations.
 #include <benchmark/benchmark.h>
+
+#include <type_traits>
+#include <utility>
 
 #include "analysis/cache_sim.hpp"
 #include "core/array.hpp"
@@ -20,16 +25,33 @@ namespace {
 using pochoir::Array;
 using pochoir::BoundaryView;
 using pochoir::InteriorRowView;
+using pochoir::RowView;
 
+Array<double, 2> make_grid(pochoir::BoundaryFn<double, 2> boundary) {
+  Array<double, 2> a({256, 256}, 1);
+  a.register_boundary(std::move(boundary));
+  a.fill_time(0, [](const std::array<std::int64_t, 2>& i) {
+    return 0.001 * static_cast<double>(i[0] + i[1]);
+  });
+  return a;
+}
+
+/// Periodic grid whose boundary is a BoundaryRule (periodic_boundary).
 Array<double, 2>& grid() {
-  static Array<double, 2> u = [] {
-    Array<double, 2> a({256, 256}, 1);
-    a.register_boundary(pochoir::periodic_boundary<double, 2>());
-    a.fill_time(0, [](const std::array<std::int64_t, 2>& i) {
-      return 0.001 * static_cast<double>(i[0] + i[1]);
-    });
-    return a;
-  }();
+  static Array<double, 2> u =
+      make_grid(pochoir::periodic_boundary<double, 2>());
+  return u;
+}
+
+/// The same grid with the same wrap as a plain lambda, which the checked
+/// row view calls.
+Array<double, 2>& callable_grid() {
+  static Array<double, 2> u = make_grid(
+      [](const Array<double, 2>& a, std::int64_t t,
+         const std::array<std::int64_t, 2>& idx) {
+        return a.at(t, {pochoir::mod_floor(idx[0], a.extent(0)),
+                        pochoir::mod_floor(idx[1], a.extent(1))});
+      });
   return u;
 }
 
@@ -46,6 +68,49 @@ void BM_InteriorRowViewAccess(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_InteriorRowViewAccess);
+
+// The boundary clone's checked row view (kernel time 0, home_dt = 1): an
+// in-domain read is D unsigned compares and a load; an off-grid read maps
+// through the rule inlined (Check = InlineRule) or calls the array's
+// BoundaryFn through Array::get (Check = CallBoundary).
+template <typename Check, bool kOffGrid>
+void checked_row_view_access(benchmark::State& state) {
+  auto& u = std::is_same_v<Check, pochoir::InlineRule> ? grid()
+                                                        : callable_grid();
+  const RowView<double, 2, Check> v(u, 0, 1, pochoir::boundary_rule(u));
+  std::int64_t x = 1;
+  double acc = 0;
+  for (auto _ : state) {
+    if constexpr (kOffGrid) {
+      acc += v(0, -x, x);  // always off-domain
+      x = x % 250 + 1;
+    } else {
+      acc += v(0, x, x + 1);
+      x = (x + 7) % 250 + 1;
+    }
+  }
+  benchmark::DoNotOptimize(acc);
+}
+
+void BM_CheckedRowViewRuleInterior(benchmark::State& state) {
+  checked_row_view_access<pochoir::InlineRule, false>(state);
+}
+BENCHMARK(BM_CheckedRowViewRuleInterior);
+
+void BM_CheckedRowViewRuleOffGrid(benchmark::State& state) {
+  checked_row_view_access<pochoir::InlineRule, true>(state);
+}
+BENCHMARK(BM_CheckedRowViewRuleOffGrid);
+
+void BM_CheckedRowViewCallableInterior(benchmark::State& state) {
+  checked_row_view_access<pochoir::CallBoundary, false>(state);
+}
+BENCHMARK(BM_CheckedRowViewCallableInterior);
+
+void BM_CheckedRowViewCallableOffGrid(benchmark::State& state) {
+  checked_row_view_access<pochoir::CallBoundary, true>(state);
+}
+BENCHMARK(BM_CheckedRowViewCallableOffGrid);
 
 void BM_BoundaryViewAccessInterior(benchmark::State& state) {
   auto& u = grid();

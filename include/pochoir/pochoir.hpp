@@ -3,7 +3,10 @@
 //   #include <pochoir/pochoir.hpp>
 //
 // Core types:   pochoir::Shape<D>, pochoir::Array<T,D>, pochoir::Stencil<D,Ts...>
-// Boundaries:   periodic_boundary, dirichlet_boundary, neumann_boundary, mixed_boundary
+// Boundaries:   periodic_boundary, dirichlet_boundary, neumann_boundary,
+//               mixed_boundary, zero_boundary (BoundaryRule values, which
+//               the boundary clone inlines); dirichlet_boundary_fn or any
+//               BoundaryFn callable (which it calls)
 // Algorithms:   Algorithm::{kTrap,kStrap,kLoopsParallel,kLoopsSerial}
 // Tuning:       Options<D>, autotune_coarsening
 // Postsource:   Stencil::run_cloned/run_split, the entries of pochoirc's

@@ -159,6 +159,7 @@ class Generator {
           diag("kernel '" + k.name +
                "' is too complex for -split-pointer; using "
                "-split-macro-shadow");
+          fallback_kernels_.push_back(k.name);
         }
         os << macro_shadow_clone(k) << "\n";
       }
@@ -362,6 +363,7 @@ class Generator {
     result.postsource = os.str();
     result.diagnostics = diagnostics_;
     result.split_pointer_kernels = split_kernels_;
+    result.split_pointer_fallbacks = fallback_kernels_;
     return result;
   }
 
@@ -378,6 +380,7 @@ class Generator {
   std::vector<Replacement> replacements_;
   std::vector<std::string> diagnostics_;
   std::vector<std::string> split_kernels_;
+  std::vector<std::string> fallback_kernels_;
 };
 
 }  // namespace

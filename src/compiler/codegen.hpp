@@ -30,7 +30,9 @@ namespace pochoir::psc {
 /// Loop-indexing strategy for interior clones (§4).
 enum class IndexMode {
   kAuto,             ///< split-pointer when analyzable, else macro-shadow
-  kSplitPointer,     ///< force Figure 12(c); falls back with a diagnostic
+  kSplitPointer,     ///< force Figure 12(c); a kernel it cannot analyze
+                     ///< gets macro-shadow, a diagnostic and an entry in
+                     ///< split_pointer_fallbacks (pochoirc then exits 1)
   kSplitMacroShadow, ///< force Figure 12(b)
 };
 
@@ -39,6 +41,8 @@ struct CodegenResult {
   std::vector<std::string> diagnostics;
   /// Kernels that ended up with pointer row clones (for tests/reporting).
   std::vector<std::string> split_pointer_kernels;
+  /// Kernels that kSplitPointer had to give macro-shadow clones.
+  std::vector<std::string> split_pointer_fallbacks;
 };
 
 CodegenResult generate(const TokenStream& tokens, const ParsedSource& parsed,

@@ -6,6 +6,11 @@
 // template library, Phase 1) and emits optimized postsource that targets
 // the library's cloned/pointer-walking entry points.  Compile the output
 // with your host C++ compiler, exactly as in Figure 4 of the paper.
+//
+// Exit status: 0 on success; 1 when the input or output cannot be opened,
+// or when --split-pointer is given and a kernel is too complex for it (the
+// postsource is still written, with a macro-shadow clone for that kernel,
+// and a diagnostic names it); 2 on a usage error.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,7 +25,12 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: pochoirc [--split-pointer | --split-macro-shadow] "
-               "[-o OUT] INPUT\n");
+               "[-o OUT] INPUT\n"
+               "  --split-pointer       pointer row clones; exit 1 if a "
+               "kernel needs macro-shadow\n"
+               "  --split-macro-shadow  macro-shadow clones for every "
+               "kernel\n"
+               "  (default: pointer row clones where the kernel allows)\n");
   return 2;
 }
 
@@ -78,5 +88,5 @@ int main(int argc, char** argv) {
     }
     out << result.postsource;
   }
-  return 0;
+  return result.split_pointer_fallbacks.empty() ? 0 : 1;
 }

@@ -15,8 +15,13 @@
 //                      reads through get() and writes through at(), and a
 //                      hook runs before each access: here it asserts, in
 //                      every build, that writes land in-domain.  The
-//                      kernel views (views.hpp) hand out the same proxy
-//                      with their own hooks.
+//                      per-point kernel views (views.hpp) hand out the
+//                      same proxy with their own hooks.
+// The stencil's leaf reads neither per access: its row views (views.hpp)
+// resolve the circular time once per row through level_offsets(), and the
+// boundary clone's view repeats get()'s domain test itself, calling the
+// boundary function only for a boundary that is not a BoundaryRule
+// (boundary.hpp).
 #pragma once
 
 #include <array>
@@ -42,25 +47,26 @@ template <typename T, int D>
 using BoundaryFn = std::function<T(const Array<T, D>&, std::int64_t,
                                    const std::array<std::int64_t, D>&)>;
 
-/// Read/write proxy for one grid point.  hook(a, t, idx, is_write) runs
-/// before every access; reads then go through Array::get (off-domain
-/// points are served by the boundary function) and writes through
-/// Array::at.  Compound assignments read, then write.
-template <typename T, int D, typename Hook>
+/// Read/write proxy for one grid point of `source`: the Array itself or a
+/// checked row view (views.hpp).  hook(source, t, idx, is_write) runs
+/// before every access; reads then go through source.get (off-domain
+/// points are served by the boundary) and writes through source.at.
+/// Compound assignments read, then write.
+template <typename T, int D, typename Hook, typename Source = Array<T, D>>
 class CheckedRef {
  public:
-  CheckedRef(Array<T, D>& a, Hook hook, std::int64_t t,
+  CheckedRef(Source& source, Hook hook, std::int64_t t,
              std::array<std::int64_t, D> idx)
-      : a_(&a), hook_(hook), t_(t), idx_(idx) {}
+      : source_(&source), hook_(hook), t_(t), idx_(idx) {}
 
   operator T() const {  // NOLINT(google-explicit-constructor)
-    hook_(*a_, t_, idx_, /*is_write=*/false);
-    return a_->get(t_, idx_);
+    hook_(*source_, t_, idx_, /*is_write=*/false);
+    return source_->get(t_, idx_);
   }
 
   CheckedRef& operator=(const T& v) {
-    hook_(*a_, t_, idx_, /*is_write=*/true);
-    a_->at(t_, idx_) = v;
+    hook_(*source_, t_, idx_, /*is_write=*/true);
+    source_->at(t_, idx_) = v;
     return *this;
   }
   CheckedRef& operator=(const CheckedRef& other) {
@@ -74,7 +80,7 @@ class CheckedRef {
   [[nodiscard]] T value() const { return static_cast<T>(*this); }
 
  private:
-  Array<T, D>* a_;
+  Source* source_;
   [[no_unique_address]] Hook hook_;
   std::int64_t t_;
   std::array<std::int64_t, D> idx_;

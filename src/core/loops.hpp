@@ -8,11 +8,13 @@
 // chunk that touches the grid edge goes to the boundary base, which splits
 // each row into a checked prefix, an unchecked interior middle and a
 // checked suffix (the ghost-cell trick the paper's baseline mirrors), so
-// interior points pay no boundary test.  The loops' chunks lie inside the
-// grid, so their rows need no coordinate wrap.  Passing a checked base
-// case for both clones gives the "check on every access" variant used for
-// the §4 ablation (2.3x degradation on periodic heat) and as the
-// differential tests' reference, where no row splitter runs.
+// interior points pay no boundary test, and the prefix and suffix run the
+// boundary clone's checked row view, made once per piece.  The loops'
+// chunks lie inside the grid, so their rows need no coordinate wrap.
+// Passing a checked base case for both clones gives the "check on every
+// access" variant used for the §4 ablation (2.3x degradation on periodic
+// heat) and as the differential tests' reference, where no row splitter
+// runs.
 #pragma once
 
 #include <cstdint>

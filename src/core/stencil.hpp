@@ -13,19 +13,22 @@
 //
 // The kernel is a *generic* callable over (t, x..., views...).  Each run
 // entry builds one leaf from it with row_leaf: the two clones of §4 as base
-// cases over a row invoker (the interior clone, walking unit-stride rows
-// through InteriorRowView) and a checked point function (the boundary
-// clone, reading through BoundaryView).  Boundary zoids go through
-// make_boundary_base, the one place where the virtual coordinates of
-// seam-crossing pieces become true ones: once per row, splitting each row
-// into checked flanks and an unchecked middle.  pochoirc's clones (a
-// split-pointer row clone, or Phase-1 clones) and the traced runs supply
-// their own row invoker and point function to the same leaf, so no run
-// entry takes a zoid-level callable.  The leaf reaches the engines — TRAP
-// (default), STRAP, or the loop baselines — as two type-erased BaseCase<D>
-// references through one private execute path, so the engines are
-// compiled once per (D, policy), never per kernel.  run() is resumable: a
-// second run(T') continues from step T, as in §2.
+// cases over two row invokers, the interior clone (unchecked RowViews) and
+// the boundary clone (checked RowViews, views.hpp).  Both make their views
+// once per unit-stride row.  The checked clone is chosen once per run:
+// when every array's boundary is a BoundaryRule (the built-in conditions)
+// its view inlines the rule, otherwise it calls the BoundaryFn.  Boundary
+// zoids go through make_boundary_base, the one place where the virtual
+// coordinates of seam-crossing pieces become true ones: once per row,
+// splitting each row into checked flanks and an unchecked middle.
+// pochoirc's clones (a split-pointer row clone, or Phase-1 point clones)
+// and the traced runs supply their own invokers to the same leaf, point
+// clones through point_fn_as_row, so no run entry takes a zoid-level
+// callable.  The leaf reaches the engines — TRAP (default), STRAP, or the
+// loop baselines — as two type-erased BaseCase<D> references through one
+// private execute path, so the engines are compiled once per (D, policy),
+// never per kernel.  run() is resumable: a second run(T') continues from
+// step T, as in §2.
 //
 // For long-running jobs, run_supervised() executes the same computation in
 // time slabs under the resilience layer (resilience/supervisor.hpp):
@@ -220,8 +223,9 @@ class Stencil {
       std::int64_t steps, K&& kernel,
       const resilience::SupervisorOptions& opts = {}) {
     validate_run(steps);
-    const auto [ib, bb] = make_leaf(kernel);
-    return supervise(steps, ib, bb, opts);
+    return with_leaf(kernel, [&](BaseCase<D> ib, BaseCase<D> bb) {
+      return supervise(steps, ib, bb, opts);
+    });
   }
 
   /// Restores the newest valid checkpoint generation under
@@ -259,14 +263,17 @@ class Stencil {
       rep.message = "checkpoint already holds the full run";
       return rep;
     }
-    const auto [ib, bb] = make_leaf(kernel);
-    rs::RunReport sub = supervise(remaining, ib, bb, opts, /*restored=*/true);
+    rs::RunReport sub =
+        with_leaf(kernel, [&](BaseCase<D> ib, BaseCase<D> bb) {
+          return supervise(remaining, ib, bb, opts, /*restored=*/true);
+        });
     sub.resumed = true;
     return sub;
   }
 
-  /// Loop baseline with every access checked (no interior clone): the §4
-  /// "modulo on every array index" ablation.
+  /// Loop baseline with every access checked (no interior clone, no row
+  /// splitter, a BoundaryView per point): the §4 "modulo on every array
+  /// index" ablation, and the differential tests' independent reference.
   template <typename K>
   void run_loops_checked_everywhere(std::int64_t steps, K&& kernel,
                                     bool parallel = true) {
@@ -309,7 +316,8 @@ class Stencil {
                           const std::array<std::int64_t, D>& idx) {
       detail::call_kernel<D>(kb, t, idx);
     };
-    const auto [ib, bb] = row_leaf(point_fn_as_row<D>(pi), pb);
+    const auto [ib, bb] =
+        row_leaf(point_fn_as_row<D>(pi), point_fn_as_row<D>(pb));
     execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
@@ -325,7 +333,7 @@ class Stencil {
                                        const std::array<std::int64_t, D>& idx) {
       detail::call_kernel<D>(boundary_kernel, t, idx);
     };
-    const auto [ib, bb] = row_leaf(interior_row, pb);
+    const auto [ib, bb] = row_leaf(interior_row, point_fn_as_row<D>(pb));
     execute(Algorithm::kTrap, parallel, steps, ib, bb);
   }
 
@@ -491,30 +499,53 @@ class Stencil {
     steps_done_ += steps;
   }
 
-  /// The standard leaf for `kernel`: interior rows through InteriorRowView,
-  /// checked points through BoundaryView.  Its type depends on the kernel
-  /// alone, so every entry point shares one instantiation per kernel.
-  template <typename K>
-  auto make_leaf(K& kernel) {
-    return row_leaf(make_row_fn(kernel, interior_row_factory()),
-                    make_point_fn(kernel, boundary_factory()));
+  /// Builds the standard leaf for `kernel` and returns body(ib, bb) over
+  /// its two base cases: the interior row clone, and the boundary clone,
+  /// whose checked row view inlines the arrays' BoundaryRules when every
+  /// array holds one and calls their BoundaryFns otherwise.  The leaf's
+  /// types depend on the kernel alone, so every entry point shares one
+  /// interior clone and two checked clones per kernel.  Reads the arrays:
+  /// call it after validate_run.
+  template <typename K, typename Body>
+  decltype(auto) with_leaf(K& kernel, Body&& body) {
+    const auto ri = make_row_fn(kernel, row_views<Unchecked>());
+    auto leaf = [&](auto check) -> decltype(auto) {
+      const auto [ib, bb] =
+          row_leaf(ri, make_row_fn(kernel, row_views<decltype(check)>()));
+      return body(ib, bb);
+    };
+    const bool rules = std::apply(
+        [](const auto*... a) {
+          return ((boundary_rule(*a) != nullptr) && ...);
+        },
+        arrays_);
+    if (rules) return leaf(InlineRule{});
+    return leaf(CallBoundary{});
   }
 
-  /// The two clones of §4 as (interior, boundary) base cases over a row
-  /// invoker ri(t, idx, row_end) and a checked point functor pb(t, idx):
+  /// The two clones of §4 as (interior, boundary) base cases over an
+  /// unchecked row invoker ri(t, idx, row_end) and a checked one rb:
   /// interior zoids run every row through ri, boundary zoids split their
-  /// rows (make_boundary_base).  Both closures hold copies of ri and pb.
-  template <typename RI, typename PB>
-  auto row_leaf(const RI& ri, const PB& pb) const {
-    return std::pair([ri](const Zoid<D>& z) { for_each_row<D>(z, ri); },
-                     make_boundary_base(ri, pb));
+  /// rows (make_boundary_base).  Both closures hold copies of ri and rb.
+  template <typename RI, typename RB>
+  auto row_leaf(const RI& ri, const RB& rb) const {
+    return std::pair(interior_base(ri), make_boundary_base(ri, rb));
+  }
+
+  /// The interior base case; its type depends on ri alone, so leaves that
+  /// differ only in their checked clone share it.
+  template <typename RI>
+  static auto interior_base(const RI& ri) {
+    return [ri](const Zoid<D>& z) { for_each_row<D>(z, ri); };
   }
 
   template <typename K>
   void run_kernel(Algorithm alg, bool parallel, std::int64_t steps,
                   K& kernel) {
-    const auto [ib, bb] = make_leaf(kernel);
-    execute(alg, parallel, steps, ib, bb);
+    validate_run(steps);
+    with_leaf(kernel, [&](BaseCase<D> ib, BaseCase<D> bb) {
+      execute(alg, parallel, steps, ib, bb);
+    });
   }
 
   /// Serial run with views built per point by `factory(array, t, idx)`
@@ -523,18 +554,27 @@ class Stencil {
   void run_point_views(Algorithm alg, std::int64_t steps, K& kernel,
                        Factory factory) {
     const auto pf = make_point_fn(kernel, factory);
-    const auto [ib, bb] = row_leaf(point_fn_as_row<D>(pf), pf);
+    const auto rows = point_fn_as_row<D>(pf);
+    const auto [ib, bb] = row_leaf(rows, rows);
     execute(alg, /*parallel=*/false, steps, ib, bb);
   }
 
   static auto boundary_factory() {
     return [](auto& a, std::int64_t, const auto&) { return CheckedView(a); };
   }
-  auto interior_row_factory() const {
+
+  /// Binds each array to its RowView with check policy `Check`, once per
+  /// leaf: the returned maker m(t) is the view of a row at invocation time
+  /// t.  The array's BoundaryRule is looked up here, not per row.
+  template <typename Check>
+  auto row_views() const {
     const std::int64_t home = shape_.home_dt();
-    return [home](auto& a, std::int64_t t, const auto&) {
-      using A = std::remove_reference_t<decltype(a)>;
-      return InteriorRowView<typename A::value_type, D>(a, t, home);
+    return [home](auto& a) {
+      using T = typename std::remove_reference_t<decltype(a)>::value_type;
+      const BoundaryRule<T, D>* rule = boundary_rule(a);
+      return [&a, home, rule](std::int64_t t) {
+        return RowView<T, D, Check>(a, t, home, rule);
+      };
     };
   }
 
@@ -542,18 +582,23 @@ class Stencil {
   /// pieces run past the grid edge, §4) become true ones, once per row:
   /// each outer coordinate is wrapped (a modulo only when it lies outside
   /// [0, n)) and the unit-stride range is split at multiples of n.  Each
-  /// true segment runs the checked clone pb on its `reach`-wide flanks and
-  /// the unchecked row invoker ri on the middle (the ghost-cell trick
-  /// inside boundary zoids), or pb throughout when an outer coordinate
-  /// lies within `reach` of the edge.  So pb always sees true coordinates,
+  /// true segment runs the checked row invoker rb on its `reach`-wide
+  /// flanks and the unchecked ri on the middle (the ghost-cell trick
+  /// inside boundary zoids), or rb throughout when an outer coordinate
+  /// lies within `reach` of the edge.  So rb always sees true coordinates,
   /// and the checked points of a zoid are O(surface) even where the
   /// paper's >=3D heuristic never cuts the unit-stride dimension, and on
-  /// the loops engine, whose edge chunks all land here.
-  template <typename RI, typename PB>
-  auto make_boundary_base(const RI& ri, const PB& pb) const {
+  /// the loops engine, whose edge chunks all land here.  With telemetry on
+  /// (when the leaf is built), each zoid adds its checked points to
+  /// WalkStats in one step.
+  template <typename RI, typename RB>
+  auto make_boundary_base(const RI& ri, const RB& rb) const {
     const auto& reach = shape_.reaches();
     const auto& grid = grid_;
-    return [ri, pb, &reach, &grid](const Zoid<D>& z) {
+    telemetry::WalkStats* stats =
+        telemetry::enabled() ? &telemetry::walk_stats() : nullptr;
+    return [ri, rb, &reach, &grid, stats](const Zoid<D>& z) {
+      std::int64_t checked = 0;
       for_each_row<D>(z, [&](std::int64_t t, std::array<std::int64_t, D> idx,
                              std::int64_t row_end) {
         bool outer_safe = true;
@@ -574,11 +619,18 @@ class Stencil {
           const std::int64_t hi = std::min(row_end - shift, n);
           const std::int64_t mid_lo = outer_safe ? std::clamp(r, lo, hi) : hi;
           const std::int64_t mid_hi = std::clamp(n - r, mid_lo, hi);
-          for (idx[D - 1] = lo; idx[D - 1] < mid_lo; ++idx[D - 1]) pb(t, idx);
-          if (mid_lo < mid_hi) ri(t, idx, mid_hi);  // idx[D - 1] == mid_lo
-          for (idx[D - 1] = mid_hi; idx[D - 1] < hi; ++idx[D - 1]) pb(t, idx);
+          checked += (mid_lo - lo) + (hi - mid_hi);
+          idx[D - 1] = lo;
+          if (lo < mid_lo) rb(t, idx, mid_lo);
+          idx[D - 1] = mid_lo;
+          if (mid_lo < mid_hi) ri(t, idx, mid_hi);
+          idx[D - 1] = mid_hi;
+          if (mid_hi < hi) rb(t, idx, hi);
         }
       });
+      if (stats != nullptr) {
+        stats->on_checked_points(static_cast<std::uint64_t>(checked));
+      }
     };
   }
 
@@ -596,21 +648,23 @@ class Stencil {
         arrays_);
   }
 
-  /// Builds a row functor f(t, idx, row_end) that instantiates views ONCE
-  /// per unit-stride row via `factory(array, t, idx)` and invokes the
-  /// kernel for idx[D-1] in [idx[D-1], row_end).  Paired with
-  /// InteriorRowView this hoists the circular-time and row address
-  /// arithmetic out of the inner loop.
-  template <typename K, typename Factory>
-  auto make_row_fn(K& kernel, Factory factory) {
+  /// Builds a row functor f(t, idx, row_end) that makes each array's view
+  /// ONCE per unit-stride row and invokes the kernel for idx[D-1] in
+  /// [idx[D-1], row_end).  `bind(array)` runs here, once per array, and
+  /// returns its view maker m(t) (row_views).  A RowView hoists the
+  /// circular-time and row address arithmetic out of the inner loop.
+  template <typename K, typename Bind>
+  auto make_row_fn(K& kernel, Bind bind) {
     return std::apply(
-        [&kernel, factory](auto*... arrs) {
-          return [&kernel, factory, arrs...](std::int64_t t,
-                                             std::array<std::int64_t, D> idx,
-                                             std::int64_t row_end) {
+        [&kernel, bind](auto*... arrs) {
+          return [&kernel, makers = std::make_tuple(bind(*arrs)...)](
+                     std::int64_t t, std::array<std::int64_t, D> idx,
+                     std::int64_t row_end) {
             // The row views live here for the whole row; kernels receive
             // pointer-sized handles, so the per-point copy is trivial.
-            const auto views = std::make_tuple(factory(*arrs, t, idx)...);
+            const auto views = std::apply(
+                [t](const auto&... m) { return std::make_tuple(m(t)...); },
+                makers);
             std::apply(
                 [&](const auto&... v) {
                   for (; idx[D - 1] < row_end; ++idx[D - 1]) {

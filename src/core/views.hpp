@@ -8,18 +8,27 @@
 //       u(t+1, x, y) = ... u(t, x-1, y) ...;
 //     };
 //
-// and the stencil's leaf instantiates it twice: with InteriorRowView, once
-// per unit-stride row of the interior clone (unchecked, compiles to direct
-// loads/stores off hoisted time-level addresses), and with BoundaryView for
-// the boundary clone.  Because both view types expose the same expression
-// interface, a kernel that compiles against the checked view compiles
-// against the unchecked one — the library-level restatement of the Pochoir
-// Guarantee.
+// and the stencil's leaf instantiates it with one row-view template,
+// RowView<T, D, Check>, built once per unit-stride row.  The check policy
+// makes the clones:
+//   Unchecked     the interior clone (InteriorRowView): direct loads and
+//                 stores off the row's hoisted time-level addresses
+//   InlineRule    the boundary clone when every array holds a built-in
+//                 condition (BoundaryRule, boundary.hpp): a read tests the
+//                 domain, D unsigned compares, and an off-domain read maps
+//                 through the rule inlined
+//   CallBoundary  the boundary clone otherwise: an off-domain read calls
+//                 the array's BoundaryFn
+// Because every view type exposes the same expression interface, a kernel
+// that compiles against a checked view compiles against the unchecked one
+// — the library-level restatement of the Pochoir Guarantee.
 //
-// Every checked access goes through one proxy, CheckedRef (array.hpp),
-// handed out by one view template, CheckedView<T, D, Hook>.  The paths
-// differ only in the hook that runs before each access:
-//   NoHook        the boundary clone (BoundaryView)
+// Every checked access goes through one proxy, CheckedRef (array.hpp).
+// The checked row views hand it out over themselves; the per-point view
+// template CheckedView<T, D, Hook> hands it out over the array, and its
+// paths differ only in the hook that runs before each access:
+//   NoHook        BoundaryView: the checked-everywhere reference
+//                 (run_loops_checked_everywhere) and the §4 ablation
 //   TouchHook     the traced runs: in-domain touches go to a cache sink
 //   ShapeHook     the Phase-1 compliance runs: shape and home-cell checks
 // Array::operator() hands out the same proxy with an in-domain write check.
@@ -30,34 +39,63 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/array.hpp"
+#include "core/boundary.hpp"
 #include "core/shape.hpp"
 #include "support/assertion.hpp"
 
 namespace pochoir {
 
-/// Unchecked view with row-granularity address hoisting: the interior
-/// clone's access path used by the row-walking base case.  Constructed once
-/// per unit-stride row, it resolves the row's circular-time window ONCE (one
-/// mod_floor into the array's level-offset table, any depth), so each access
-/// in the inner loop is a table lookup plus a linear offset the compiler
-/// strength-reduces — the library analogue of the hoisted pointers in the
-/// compiler's -split-pointer postsource (Figure 12(c)).
+/// Hook of a proxy that needs none: nothing runs before an access beyond
+/// the source's own checks (get's boundary routing, at's debug-build
+/// in-domain assert).
+struct NoHook {
+  template <typename A, typename Idx>
+  void operator()(const A&, std::int64_t, const Idx&, bool) const {}
+};
+
+/// Check policies of RowView (see the header comment).
+struct Unchecked {};
+struct InlineRule {};
+struct CallBoundary {};
+
+/// The row clones' view, constructed once per unit-stride row: it resolves
+/// the row's circular-time window ONCE (one mod_floor into the array's
+/// level-offset table, any depth), so each access in the inner loop is a
+/// table lookup plus a linear offset the compiler strength-reduces — the
+/// library analogue of the hoisted pointers in the compiler's
+/// -split-pointer postsource (Figure 12(c)).  Unchecked, an access is a
+/// T&; checked, it is a CheckedRef whose read tests the domain first.
+/// Writes always target the home point, which the walker keeps in-domain.
 ///
 /// `home_dt` anchors the reachable window: a kernel invoked at time t only
 /// touches t+dt for dt in [home_dt - depth, home_dt] (shape rule: reads are
 /// strictly earlier than the written cell), i.e. exactly time_levels()
-/// distinct absolute times.
-template <typename T, int D>
-class InteriorRowView {
+/// distinct absolute times.  `rule` is the array's BoundaryRule; only
+/// InlineRule views use it.
+template <typename T, int D, typename Check = Unchecked>
+class RowView {
  public:
-  InteriorRowView(Array<T, D>& a, std::int64_t t_row, std::int64_t home_dt)
+  static constexpr bool kChecked = !std::is_same_v<Check, Unchecked>;
+
+  RowView(Array<T, D>& a, std::int64_t t_row, std::int64_t home_dt,
+          const BoundaryRule<T, D>* rule = nullptr)
       : a_(&a),
         base_(a.data()),
         t_lo_(t_row + home_dt - a.time_levels() + 1),
-        level_offset_(a.level_offsets() + mod_floor(t_lo_, a.time_levels())) {
-    for (int i = 0; i < D; ++i) strides_[static_cast<std::size_t>(i)] = a.stride(i);
+        level_offset_(a.level_offsets() + mod_floor(t_lo_, a.time_levels())),
+        rule_(rule) {
+    if constexpr (std::is_same_v<Check, InlineRule>) {
+      POCHOIR_DEBUG_ASSERT(rule != nullptr);
+    }
+    for (int i = 0; i < D; ++i) {
+      strides_[static_cast<std::size_t>(i)] = a.stride(i);
+      if constexpr (kChecked) {
+        extents_[static_cast<std::size_t>(i)] = a.extent(i);
+      }
+    }
   }
 
   /// Pointer-sized proxy handed to kernels.  Kernels take views by value
@@ -66,10 +104,10 @@ class InteriorRowView {
   /// view.
   class Handle {
    public:
-    explicit Handle(const InteriorRowView* v) : v_(v) {}
+    explicit Handle(const RowView* v) : v_(v) {}
 
     template <typename... Idx>
-    [[nodiscard]] T& operator()(std::int64_t t, Idx... i) const {
+    [[nodiscard]] decltype(auto) operator()(std::int64_t t, Idx... i) const {
       return (*v_)(t, i...);
     }
     template <typename... Idx>
@@ -83,22 +121,25 @@ class InteriorRowView {
     [[nodiscard]] Array<T, D>& array() const { return v_->array(); }
 
    private:
-    const InteriorRowView* v_;
+    const RowView* v_;
   };
 
   [[nodiscard]] Handle handle() const { return Handle(this); }
 
   template <typename... Idx>
-  [[nodiscard]] T& operator()(std::int64_t t, Idx... i) const {
+  [[nodiscard]] decltype(auto) operator()(std::int64_t t, Idx... i) const {
     static_assert(sizeof...(Idx) == D);
-    return *(level_ptr(t) +
-             spatial_offset(std::array<std::int64_t, D>{
-                 static_cast<std::int64_t>(i)...}));
+    const std::array<std::int64_t, D> idx{static_cast<std::int64_t>(i)...};
+    if constexpr (kChecked) {
+      return CheckedRef<T, D, NoHook, const RowView>(*this, {}, t, idx);
+    } else {
+      return at(t, idx);
+    }
   }
 
   template <typename... Idx>
   [[nodiscard]] T read(std::int64_t t, Idx... i) const {
-    return operator()(t, i...);
+    return get(t, std::array<std::int64_t, D>{static_cast<std::int64_t>(i)...});
   }
 
   /// write(t, idx..., value)
@@ -108,6 +149,23 @@ class InteriorRowView {
   }
 
   [[nodiscard]] Array<T, D>& array() const { return *a_; }
+
+  /// Storage of (t, idx); idx must lie in the domain.
+  [[nodiscard]] T& at(std::int64_t t,
+                      const std::array<std::int64_t, D>& idx) const {
+    if constexpr (kChecked) POCHOIR_DEBUG_ASSERT(in_domain(idx));
+    return *(level_ptr(t) + spatial_offset(idx));
+  }
+
+  /// Read of (t, idx): checked views serve an off-domain point from the
+  /// array's boundary.
+  [[nodiscard]] T get(std::int64_t t,
+                      const std::array<std::int64_t, D>& idx) const {
+    if constexpr (kChecked) {
+      if (!in_domain(idx)) return off_domain(t, idx);
+    }
+    return at(t, idx);
+  }
 
  private:
   [[nodiscard]] T* level_ptr(std::int64_t t) const {
@@ -124,28 +182,49 @@ class InteriorRowView {
     return off;
   }
 
+  [[nodiscard]] bool in_domain(const std::array<std::int64_t, D>& idx) const {
+    for (std::size_t i = 0; i < D; ++i) {
+      if (static_cast<std::uint64_t>(idx[i]) >=
+          static_cast<std::uint64_t>(extents_[i])) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// An off-domain read: the rule mapped onto this row's time window, or
+  /// Array::get, which calls the registered BoundaryFn.
+  [[nodiscard]] T off_domain(std::int64_t t,
+                             const std::array<std::int64_t, D>& idx) const {
+    if constexpr (std::is_same_v<Check, InlineRule>) {
+      std::array<std::int64_t, D> mapped = idx;
+      return rule_->map(extents_, mapped) ? at(t, mapped)
+                                          : rule_->dirichlet_value;
+    } else {
+      return a_->get(t, idx);
+    }
+  }
+
   template <std::size_t... Is, typename... Rest>
   void write_impl(std::int64_t t, std::index_sequence<Is...>, Rest... rest) const {
     auto tuple = std::forward_as_tuple(rest...);
     std::array<std::int64_t, D> idx{
         static_cast<std::int64_t>(std::get<Is>(tuple))...};
-    *(level_ptr(t) + spatial_offset(idx)) = std::get<sizeof...(Rest) - 1>(tuple);
+    at(t, idx) = std::get<sizeof...(Rest) - 1>(tuple);
   }
 
   Array<T, D>* a_;
   T* base_;
   std::int64_t t_lo_;
   const std::int64_t* level_offset_;  // entry k: offset of time t_lo_ + k
+  const BoundaryRule<T, D>* rule_;
   std::array<std::int64_t, D> strides_{};
+  std::array<std::int64_t, D> extents_{};
 };
 
-/// Hook of the boundary clone: nothing runs before an access beyond
-/// Array's own checks (get's boundary routing, at's debug-build in-domain
-/// assert).
-struct NoHook {
-  template <typename A, typename Idx>
-  void operator()(const A&, std::int64_t, const Idx&, bool) const {}
-};
+/// The interior clone's view: unchecked.
+template <typename T, int D>
+using InteriorRowView = RowView<T, D, Unchecked>;
 
 /// Checked view: hands the kernel one CheckedRef per access, each carrying
 /// a copy of the view's hook.  read() and write() go through the same
@@ -188,9 +267,9 @@ class CheckedView {
   [[no_unique_address]] Hook hook_;
 };
 
-/// The boundary clone's access path: reads route off-domain coordinates to
-/// the boundary function; writes always target the home point, which the
-/// walker guarantees is in-domain.
+/// The per-point checked view: reads route off-domain coordinates to the
+/// boundary function through Array::get.  The checked-everywhere
+/// reference and the §4 ablation read through it.
 template <typename T, int D>
 using BoundaryView = CheckedView<T, D>;
 

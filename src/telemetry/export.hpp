@@ -96,6 +96,7 @@ inline std::string to_json(const RunTelemetry& t, bool include_label = true) {
   out += ", \"points_interior\": " + std::to_string(w.points_interior);
   out += ", \"points_boundary\": " + std::to_string(w.points_boundary);
   out += ", \"points_loops\": " + std::to_string(w.points_loops);
+  out += ", \"points_checked\": " + std::to_string(w.points_checked);
   out += ", \"zoid_points_hist\": " + detail::hist_json(w.zoid_points_hist);
   out += ", \"zoid_height_hist\": " + detail::hist_json(w.zoid_height_hist);
   out += "}";
@@ -148,6 +149,7 @@ class Registry {
       totals.walk.points_interior += t.walk.points_interior;
       totals.walk.points_boundary += t.walk.points_boundary;
       totals.walk.points_loops += t.walk.points_loops;
+      totals.walk.points_checked += t.walk.points_checked;
       for (int i = 0; i < kHistogramBuckets; ++i) {
         totals.walk.zoid_points_hist[static_cast<std::size_t>(i)] +=
             t.walk.zoid_points_hist[static_cast<std::size_t>(i)];

@@ -10,7 +10,8 @@
 //     aggregates slots into a SchedulerCounters snapshot on demand.
 //
 //   - WalkStats: per-run walk counters (space/time cuts, base cases by
-//     engine, zoid size/height histograms, points updated).  Accumulated
+//     engine, zoid size/height histograms, points updated, points the
+//     boundary clone checked).  Accumulated
 //     through WalkContext at zoid / time-step granularity only — never in
 //     an inner loop — preserving the allocation-free, branch-light hot path
 //     established in PR 1.
@@ -122,6 +123,7 @@ struct WalkCounters {
   std::uint64_t points_interior = 0; ///< points updated in interior base cases
   std::uint64_t points_boundary = 0; ///< points updated in boundary base cases
   std::uint64_t points_loops = 0;    ///< points updated by the loops engine
+  std::uint64_t points_checked = 0;  ///< points run checked by the boundary clone
   std::array<std::uint64_t, kHistogramBuckets> zoid_points_hist{};  ///< base zoid volume, log2 buckets
   std::array<std::uint64_t, kHistogramBuckets> zoid_height_hist{};  ///< base zoid height, log2 buckets
 
@@ -142,6 +144,7 @@ struct WalkCounters {
     d.points_interior = points_interior - o.points_interior;
     d.points_boundary = points_boundary - o.points_boundary;
     d.points_loops = points_loops - o.points_loops;
+    d.points_checked = points_checked - o.points_checked;
     for (int i = 0; i < kHistogramBuckets; ++i) {
       d.zoid_points_hist[i] = zoid_points_hist[i] - o.zoid_points_hist[i];
       d.zoid_height_hist[i] = zoid_height_hist[i] - o.zoid_height_hist[i];
@@ -183,6 +186,12 @@ class WalkStats {
     points_loops_.fetch_add(points, kOrder);
   }
 
+  /// The checked points of one boundary base case (make_boundary_base):
+  /// its flanks and the rows within reach of the grid edge.
+  void on_checked_points(std::uint64_t points) {
+    points_checked_.fetch_add(points, kOrder);
+  }
+
   [[nodiscard]] WalkCounters snapshot() const {
     WalkCounters c;
     c.space_cuts = space_cuts_.load(kOrder);
@@ -193,6 +202,7 @@ class WalkStats {
     c.points_interior = points_interior_.load(kOrder);
     c.points_boundary = points_boundary_.load(kOrder);
     c.points_loops = points_loops_.load(kOrder);
+    c.points_checked = points_checked_.load(kOrder);
     for (int i = 0; i < kHistogramBuckets; ++i) {
       c.zoid_points_hist[static_cast<std::size_t>(i)] =
           zoid_points_hist_[static_cast<std::size_t>(i)].load(kOrder);
@@ -213,6 +223,7 @@ class WalkStats {
   std::atomic<std::uint64_t> points_interior_{0};
   std::atomic<std::uint64_t> points_boundary_{0};
   std::atomic<std::uint64_t> points_loops_{0};
+  std::atomic<std::uint64_t> points_checked_{0};
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> zoid_points_hist_{};
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> zoid_height_hist_{};
 };

@@ -1,6 +1,8 @@
 // Tests for the boundary-condition library (§2, §4, Figure 11).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/array.hpp"
 #include "core/boundary.hpp"
 
@@ -91,6 +93,35 @@ TEST(Boundary, ReRegistrationReplaces) {
   EXPECT_EQ(a.get(0, std::int64_t{-1}), 1.0);
   a.register_boundary(dirichlet_boundary<double, 1>(2.0));
   EXPECT_EQ(a.get(0, std::int64_t{-1}), 2.0);
+}
+
+// The five built-ins are BoundaryRule values, which the checked row view
+// inlines; any other function is called, dirichlet_boundary_fn included.
+TEST(Boundary, BuiltInsAreRules) {
+  auto rule_of = [](BoundaryFn<double, 2> fn) {
+    Array<double, 2> a({3, 3});
+    a.register_boundary(std::move(fn));
+    using Rule = BoundaryRule<double, 2>;
+    EXPECT_EQ(boundary_rule(a), a.boundary().target<Rule>());
+    return a.boundary().target<Rule>() != nullptr;
+  };
+  EXPECT_TRUE(rule_of(periodic_boundary<double, 2>()));
+  EXPECT_TRUE(rule_of(dirichlet_boundary<double, 2>(1.5)));
+  EXPECT_TRUE(rule_of(neumann_boundary<double, 2>()));
+  EXPECT_TRUE(rule_of(mixed_boundary<double, 2>(
+      {BoundaryKind::kPeriodic, BoundaryKind::kNeumann})));
+  EXPECT_TRUE(rule_of(zero_boundary<double, 2>()));
+  EXPECT_FALSE(rule_of(dirichlet_boundary_fn<double, 2>(
+      [](std::int64_t, const std::array<std::int64_t, 2>&) { return 1.0; })));
+  EXPECT_FALSE(rule_of([](const Array<double, 2>&, std::int64_t,
+                          const std::array<std::int64_t, 2>&) { return 0.0; }));
+  EXPECT_FALSE(rule_of(nullptr));
+
+  Array<int, 1> cells({4});
+  cells.register_boundary(zero_boundary<int, 1>());
+  ASSERT_NE(boundary_rule(cells), nullptr);
+  EXPECT_EQ(boundary_rule(cells)->kinds[0], BoundaryKind::kDirichlet);
+  EXPECT_EQ(boundary_rule(cells)->dirichlet_value, 0);
 }
 
 }  // namespace

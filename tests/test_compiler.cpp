@@ -2,6 +2,9 @@
 // postsource generation in both loop-indexing modes (§4).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "compiler/driver.hpp"
 #include "compiler/lexer.hpp"
 #include "compiler/parser.hpp"
@@ -210,6 +213,9 @@ TEST(Codegen, ForcedSplitPointerFallsBackWithDiagnostic) {
     warned |= d.find("too complex for -split-pointer") != std::string::npos;
   }
   EXPECT_TRUE(warned);
+  EXPECT_EQ(result.split_pointer_fallbacks, std::vector<std::string>{"f"});
+  // In the default mode the same kernel gets macro-shadow silently.
+  EXPECT_TRUE(translate(src, IndexMode::kAuto).split_pointer_fallbacks.empty());
 }
 
 TEST(Codegen, BoundaryBecomesGenericLambda) {

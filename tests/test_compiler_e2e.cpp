@@ -1,7 +1,8 @@
 // End-to-end test of the Pochoir Guarantee: a Phase-1 program is translated
 // by pochoirc, both are compiled with the compiler that builds this suite,
 // and both must print bit-identical results — in each loop-indexing mode,
-// for a 1D clamped, a 2D periodic and a 3D Dirichlet program.
+// for a 1D clamped, a 2D periodic and a 3D Dirichlet program.  A forced
+// --split-pointer that a kernel cannot honour must fail the pochoirc run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -98,6 +99,34 @@ TEST_F(CompilerE2E, OneDimensionalProgramAgreesInBothModes) {
 TEST_F(CompilerE2E, PhaseOneAndBothPhaseTwoModesAgree) {
   expect_modes_agree(src_dir() + "/tests/fixtures/heat2d_periodic.cpp",
                      "heat2d");
+}
+
+// A kernel with a non-affine access cannot have a pointer row clone: with
+// --split-pointer pochoirc still writes a macro-shadow postsource and names
+// the kernel, but exits non-zero, so a build that relies on the mode stops.
+TEST_F(CompilerE2E, ForcedSplitPointerFallbackFails) {
+  const std::string dir = work_dir() + "/fallback";
+  run_cmd("mkdir -p " + dir);
+  std::string source =
+      read_file(src_dir() + "/tests/fixtures/heat2d_periodic.cpp");
+  const std::string access = "u(t, x - 1, y)";
+  const std::size_t at = source.find(access);
+  ASSERT_NE(at, std::string::npos);
+  source.replace(at, access.size(), "u(t, x * 2 - 1, y)");
+  const std::string fixture = dir + "/heat2d_nonaffine.cpp";
+  std::ofstream(fixture) << source;
+
+  const std::string split = dir + "/post_split.cpp";
+  EXPECT_NE(run_cmd(pochoirc() + " --split-pointer -o " + split + " " +
+                    fixture + " 2> " + dir + "/split.log"),
+            0);
+  EXPECT_NE(read_file(dir + "/split.log").find("too complex"),
+            std::string::npos);
+  EXPECT_NE(read_file(split).find("run_cloned"), std::string::npos);
+
+  EXPECT_EQ(run_cmd(pochoirc() + " --split-macro-shadow -o " + dir +
+                    "/post_macro.cpp " + fixture),
+            0);
 }
 
 // Every 3D base zoid is a boundary zoid (the unit-stride dimension is never

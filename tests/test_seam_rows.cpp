@@ -11,6 +11,12 @@
 // with every point checked, where no row splitter runs; the Phase-1
 // boundary clone must never see a coordinate outside the grid, and
 // run_split must hand it exactly the points that run_cloned does.
+//
+// The engines run both checked row clones: each built-in condition (a
+// BoundaryRule, inlined by the rule clone) also runs as its callable twin,
+// an independent lambda of the same condition, which the callable clone
+// calls.  A two-array stencil runs the rule clone (both arrays hold
+// rules) and the callable clone (one holds a rule, the other a lambda).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,11 +36,85 @@
 namespace pochoir {
 namespace {
 
+/// Callable twins of the built-in conditions: independent lambdas of the
+/// same maps, written out per condition.  A twin is not a rule, so a run
+/// on it takes the callable clone.
+template <int D>
+BoundaryFn<double, D> periodic_twin() {
+  return [](const Array<double, D>& a, std::int64_t t,
+            const std::array<std::int64_t, D>& idx) -> double {
+    std::array<std::int64_t, D> wrapped;
+    for (int i = 0; i < D; ++i) wrapped[i] = mod_floor(idx[i], a.extent(i));
+    return a.at(t, wrapped);
+  };
+}
+
+template <int D>
+BoundaryFn<double, D> dirichlet_twin(double value) {
+  return [value](const Array<double, D>&, std::int64_t,
+                 const std::array<std::int64_t, D>&) -> double {
+    return value;
+  };
+}
+
+template <int D>
+BoundaryFn<double, D> neumann_twin() {
+  return [](const Array<double, D>& a, std::int64_t t,
+            const std::array<std::int64_t, D>& idx) -> double {
+    std::array<std::int64_t, D> clamped;
+    for (int i = 0; i < D; ++i) {
+      std::int64_t v = idx[i];
+      if (v < 0) v = 0;
+      if (v >= a.extent(i)) v = a.extent(i) - 1;
+      clamped[i] = v;
+    }
+    return a.at(t, clamped);
+  };
+}
+
+template <int D>
+BoundaryFn<double, D> mixed_twin(std::array<BoundaryKind, D> kinds,
+                                 double dirichlet_value = 0.0) {
+  return [kinds, dirichlet_value](const Array<double, D>& a, std::int64_t t,
+                                  const std::array<std::int64_t, D>& idx)
+             -> double {
+    std::array<std::int64_t, D> mapped;
+    for (int i = 0; i < D; ++i) {
+      std::int64_t v = idx[i];
+      const std::int64_t n = a.extent(i);
+      if (v >= 0 && v < n) {
+        mapped[i] = v;
+        continue;
+      }
+      switch (kinds[static_cast<std::size_t>(i)]) {
+        case BoundaryKind::kPeriodic:
+          mapped[i] = mod_floor(v, n);
+          break;
+        case BoundaryKind::kNeumann:
+          mapped[i] = v < 0 ? 0 : n - 1;
+          break;
+        case BoundaryKind::kDirichlet:
+          return dirichlet_value;
+      }
+    }
+    return a.at(t, mapped);
+  };
+}
+
+/// A built-in condition and its callable twin.
+template <int D>
+struct NamedBoundary {
+  const char* name;
+  BoundaryFn<double, D> rule;
+  BoundaryFn<double, D> twin;
+};
+
 template <int D>
 struct SeamCase {
   std::array<std::int64_t, D> grid;
   const char* boundary_name;
-  BoundaryFn<double, D> boundary;
+  BoundaryFn<double, D> boundary;  // a BoundaryRule
+  BoundaryFn<double, D> twin;      // its callable twin
   std::int64_t dt;  // dt threshold
   std::int64_t dx;  // dx threshold in every dimension
   std::int64_t steps;
@@ -54,32 +134,33 @@ struct SeamCase {
 template <int D>
 std::vector<SeamCase<D>> seam_cases(
     const std::vector<std::array<std::int64_t, D>>& grids,
-    const std::vector<std::pair<const char*, BoundaryFn<double, D>>>& bcs,
-    std::int64_t steps) {
+    const std::vector<NamedBoundary<D>>& bcs, std::int64_t steps) {
   static constexpr std::int64_t kThresholds[6][2] = {
       {1, 2}, {8, 5}, {3, 3}, {6, 2}, {2, 4}, {8, 3}};
   std::vector<SeamCase<D>> out;
   std::size_t k = 0;
   for (const auto& grid : grids) {
-    for (const auto& [name, fn] : bcs) {
+    for (const auto& bc : bcs) {
       for (int rep = 0; rep < 2; ++rep, ++k) {
         const auto& th = kThresholds[k % 6];
-        out.push_back({grid, name, fn, th[0], th[1], steps});
+        out.push_back({grid, bc.name, bc.rule, bc.twin, th[0], th[1], steps});
       }
     }
   }
   return out;
 }
 
-/// A fresh array holding the same pseudo-random initial levels 0..depth-1.
+/// A fresh array holding the same pseudo-random initial levels 0..depth-1
+/// (other ones for another `salt`).
 template <int D>
 std::unique_ptr<Array<double, D>> make_array(const SeamCase<D>& c,
-                                             std::int64_t depth) {
+                                             std::int64_t depth,
+                                             std::int64_t salt = 0) {
   auto a = std::make_unique<Array<double, D>>(c.grid, depth);
   a->register_boundary(c.boundary);
   for (std::int64_t t = 0; t < depth; ++t) {
-    a->fill_time(t, [t](const std::array<std::int64_t, D>& i) {
-      std::int64_t h = 7 * t + 3;
+    a->fill_time(t, [t, salt](const std::array<std::int64_t, D>& i) {
+      std::int64_t h = 7 * t + 3 + salt;
       for (int k = 0; k < D; ++k) h = h * 131 + i[static_cast<std::size_t>(k)];
       return 0.001 * static_cast<double>(mod_floor(h * 40503, 997));
     });
@@ -156,19 +237,25 @@ template <int D, typename Kern>
 void check_engines(const SeamCase<D>& c, const Shape<D>& shape,
                    const Kern& kern) {
   const auto ref = checked_reference(c, shape, kern);
-  for (Algorithm alg :
-       {Algorithm::kTrap, Algorithm::kStrap, Algorithm::kLoopsParallel}) {
-    for (bool parallel : {false, true}) {
-      const auto got = run_case(c, shape, [&](auto& st, auto&) {
-        if (parallel) {
-          st.run(alg, c.steps, kern);
-        } else {
-          st.run_serial(alg, c.steps, kern);
-        }
-      });
-      EXPECT_TRUE(same_bits(*ref, *got))
-          << c.describe() << ", algorithm " << static_cast<int>(alg)
-          << (parallel ? ", parallel" : ", serial");
+  for (bool callable : {false, true}) {
+    SeamCase<D> clone_case = c;
+    if (callable) clone_case.boundary = c.twin;
+    for (Algorithm alg :
+         {Algorithm::kTrap, Algorithm::kStrap, Algorithm::kLoopsParallel}) {
+      for (bool parallel : {false, true}) {
+        const auto got = run_case(clone_case, shape, [&](auto& st, auto& a) {
+          ASSERT_EQ(boundary_rule(a) == nullptr, callable) << c.describe();
+          if (parallel) {
+            st.run(alg, c.steps, kern);
+          } else {
+            st.run_serial(alg, c.steps, kern);
+          }
+        });
+        EXPECT_TRUE(same_bits(*ref, *got))
+            << c.describe() << (callable ? ", callable" : ", rule")
+            << " clone, algorithm " << static_cast<int>(alg)
+            << (parallel ? ", parallel" : ", serial");
+      }
     }
   }
   for (bool parallel : {false, true}) {
@@ -210,34 +297,41 @@ void check_engines(const SeamCase<D>& c, const Shape<D>& shape,
 std::vector<SeamCase<1>> cases_1d() {
   return seam_cases<1>(
       {{1}, {3}, {5}, {13}, {17}, {29}, {31}, {131}},
-      {{"periodic", periodic_boundary<double, 1>()},
-       {"dirichlet", dirichlet_boundary<double, 1>(0.5)},
-       {"neumann", neumann_boundary<double, 1>()}},
+      {{"periodic", periodic_boundary<double, 1>(), periodic_twin<1>()},
+       {"dirichlet", dirichlet_boundary<double, 1>(0.5),
+        dirichlet_twin<1>(0.5)},
+       {"neumann", neumann_boundary<double, 1>(), neumann_twin<1>()}},
       17);
 }
 
 std::vector<SeamCase<2>> cases_2d() {
   return seam_cases<2>(
       {{1, 13}, {3, 5}, {5, 31}, {13, 17}, {29, 3}, {31, 1}, {17, 131}},
-      {{"periodic", periodic_boundary<double, 2>()},
-       {"dirichlet", dirichlet_boundary<double, 2>(0.25)},
-       {"neumann", neumann_boundary<double, 2>()},
+      {{"periodic", periodic_boundary<double, 2>(), periodic_twin<2>()},
+       {"dirichlet", dirichlet_boundary<double, 2>(0.25),
+        dirichlet_twin<2>(0.25)},
+       {"neumann", neumann_boundary<double, 2>(), neumann_twin<2>()},
        {"periodic x dirichlet",
         mixed_boundary<double, 2>(
-            {BoundaryKind::kPeriodic, BoundaryKind::kDirichlet}, 0.75)}},
+            {BoundaryKind::kPeriodic, BoundaryKind::kDirichlet}, 0.75),
+        mixed_twin<2>({BoundaryKind::kPeriodic, BoundaryKind::kDirichlet},
+                      0.75)}},
       13);
 }
 
 std::vector<SeamCase<3>> cases_3d() {
   return seam_cases<3>(
       {{3, 5, 13}, {5, 13, 3}, {1, 5, 29}, {13, 17, 5}, {17, 13, 31}},
-      {{"periodic", periodic_boundary<double, 3>()},
-       {"dirichlet", dirichlet_boundary<double, 3>(0.25)},
-       {"neumann", neumann_boundary<double, 3>()},
+      {{"periodic", periodic_boundary<double, 3>(), periodic_twin<3>()},
+       {"dirichlet", dirichlet_boundary<double, 3>(0.25),
+        dirichlet_twin<3>(0.25)},
+       {"neumann", neumann_boundary<double, 3>(), neumann_twin<3>()},
        {"periodic x neumann x periodic",
         mixed_boundary<double, 3>({BoundaryKind::kPeriodic,
                                    BoundaryKind::kNeumann,
-                                   BoundaryKind::kPeriodic})}},
+                                   BoundaryKind::kPeriodic}),
+        mixed_twin<3>({BoundaryKind::kPeriodic, BoundaryKind::kNeumann,
+                       BoundaryKind::kPeriodic})}},
       9);
 }
 
@@ -269,6 +363,67 @@ TEST(SeamRows, Wave3D) {
   const auto kern = stencils::wave_kernel(0.07);
   for (const auto& c : cases_3d()) {
     check_engines(c, stencils::wave_shape(), kern);
+  }
+}
+
+// Two arrays, each read at the other's stencil points; v keeps one time
+// level more than the shape needs.  With a rule on both the leaf runs the
+// rule clone; with a rule on u and a lambda on v it runs the callable
+// clone for both (u's rule is then called).
+TEST(SeamRows, TwoArraysRuleAndCallable) {
+  const auto kern = [](std::int64_t t, std::int64_t x, std::int64_t y,
+                       auto u, auto v) {
+    u(t + 1, x, y) = 0.5 * u(t, x, y) +
+                     0.1 * (v(t, x - 1, y) + v(t, x + 1, y)) +
+                     0.15 * (u(t, x, y - 1) + u(t, x, y + 1));
+    v(t + 1, x, y) = 0.6 * v(t, x, y) +
+                     0.1 * (u(t, x, y - 1) + u(t, x, y + 1)) +
+                     0.1 * (v(t, x - 1, y) + v(t, x + 1, y));
+  };
+  const Shape<2> shape = stencils::heat_shape<2>();
+  const BoundaryFn<double, 2> u_rule = mixed_boundary<double, 2>(
+      {BoundaryKind::kPeriodic, BoundaryKind::kDirichlet}, 0.5);
+  const std::vector<std::pair<const char*, BoundaryFn<double, 2>>> v_bcs = {
+      {"neumann rule", neumann_boundary<double, 2>()},
+      {"neumann lambda", neumann_twin<2>()}};
+  for (const std::array<std::int64_t, 2> grid :
+       {std::array<std::int64_t, 2>{13, 17}, {5, 31}, {29, 3}}) {
+    for (const auto& [v_name, v_bc] : v_bcs) {
+      const SeamCase<2> u_case{grid, "mixed rule", u_rule, u_rule, 3, 3, 11};
+      const SeamCase<2> v_case{grid, v_name, v_bc, v_bc, 3, 3, 11};
+      auto run_pair = [&](auto run) {
+        Options<2> opts;
+        opts.dt_threshold = u_case.dt;
+        opts.dx_threshold.fill(u_case.dx);
+        auto u = make_array<2>(u_case, shape.depth());
+        auto v = make_array<2>(v_case, shape.depth() + 1, /*salt=*/5);
+        Stencil<2, double, double> st(shape, opts);
+        st.register_arrays(*u, *v);
+        run(st);
+        return std::pair(std::move(u), std::move(v));
+      };
+      const auto ref = run_pair([&](auto& st) {
+        st.run_loops_checked_everywhere(u_case.steps, kern, false);
+      });
+      for (Algorithm alg :
+           {Algorithm::kTrap, Algorithm::kStrap, Algorithm::kLoopsParallel}) {
+        for (bool parallel : {false, true}) {
+          const auto got = run_pair([&](auto& st) {
+            if (parallel) {
+              st.run(alg, u_case.steps, kern);
+            } else {
+              st.run_serial(alg, u_case.steps, kern);
+            }
+          });
+          const std::string what = u_case.describe() + ", v " + v_name +
+                                   ", algorithm " +
+                                   std::to_string(static_cast<int>(alg)) +
+                                   (parallel ? ", parallel" : ", serial");
+          EXPECT_TRUE(same_bits(*ref.first, *got.first)) << what;
+          EXPECT_TRUE(same_bits(*ref.second, *got.second)) << what;
+        }
+      }
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 // Telemetry-layer tests: counter consistency (points updated == grid x
-// steps; TRAP vs loops agree; scheduler spawns == tasks run), trace-JSON
+// steps; TRAP vs loops agree; checked points == the edge band x steps in
+// every engine; scheduler spawns == tasks run), trace-JSON
 // well-formedness and span nesting, one stencil_run span per run entry
 // point, registry/export round trips through the JSON linter, the
 // off-by-default allocation-free guarantee, a Registry that keeps only
@@ -213,6 +214,76 @@ TEST(TelemetryCounters, StrapWalkCountersPinned) {
   EXPECT_EQ(d.base_boundary, 3440u);
 }
 
+/// Points within reach of the grid edge in one step, which the boundary
+/// clone runs checked: prod n_i - prod max(0, n_i - 2 reach_i).
+template <int D>
+std::uint64_t edge_band_points(const std::array<std::int64_t, D>& grid,
+                               const std::array<std::int64_t, D>& reach) {
+  std::int64_t all = 1;
+  std::int64_t inner = 1;
+  for (std::size_t i = 0; i < D; ++i) {
+    all *= grid[i];
+    inner *= std::max<std::int64_t>(0, grid[i] - 2 * reach[i]);
+  }
+  return static_cast<std::uint64_t>(all - inner);
+}
+
+/// Runs `kern` on a fresh grid with every engine, serially and on the pool
+/// (as many threads as the host has cores, or POCHOIR_NUM_THREADS; CI sets
+/// 4), and checks that each run counts steps x the edge band as checked.
+template <int D, typename Kern>
+void expect_checked_points(const Shape<D>& shape,
+                           const std::array<std::int64_t, D>& grid,
+                           const BoundaryFn<double, D>& bc, std::int64_t steps,
+                           const Kern& kern) {
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(steps) *
+      edge_band_points<D>(grid, shape.reaches());
+  for (Algorithm alg : {Algorithm::kTrap, Algorithm::kStrap,
+                        Algorithm::kLoopsParallel, Algorithm::kLoopsSerial}) {
+    for (bool parallel : {false, true}) {
+      Array<double, D> a(grid, shape.depth());
+      a.register_boundary(bc);
+      for (std::int64_t t = 0; t < shape.depth(); ++t) {
+        a.fill_time(t, [](const auto&) { return 1.0; });
+      }
+      Stencil<D, double> st(shape);
+      st.register_arrays(a);
+      const tel::WalkCounters before = tel::walk_stats().snapshot();
+      if (parallel) {
+        st.run(alg, steps, kern);
+      } else {
+        st.run_serial(alg, steps, kern);
+      }
+      const tel::WalkCounters d = tel::walk_stats().snapshot() - before;
+      EXPECT_EQ(d.points_checked, expected)
+          << "algorithm " << static_cast<int>(alg)
+          << (parallel ? ", parallel" : ", serial") << ", grid "
+          << grid[0] << " x ... x " << grid[D - 1];
+    }
+  }
+}
+
+// Every engine runs exactly the points within reach of the edge checked:
+// O(surface), whatever the decomposition.
+TEST(TelemetryCounters, CheckedPointsAreTheEdgeBand) {
+  EnabledScope on(true);
+  expect_checked_points<3>(stencils::wave_shape(), {14, 17, 23},
+                           dirichlet_boundary<double, 3>(0.0), 6,
+                           stencils::wave_kernel(0.1));
+  const auto heat = stencils::heat_kernel_2d({0.125, 0.125});
+  expect_checked_points<2>(stencils::heat_shape<2>(), {40, 37},
+                           periodic_boundary<double, 2>(), 9, heat);
+  // Narrower than 2 * reach + 1 in the unit-stride dimension: every point
+  // is checked.
+  expect_checked_points<2>(stencils::heat_shape<2>(), {23, 2},
+                           periodic_boundary<double, 2>(), 7, heat);
+  EXPECT_EQ(edge_band_points<2>({23, 2}, {1, 1}), 46u);
+  // Wave 3 at 120^3 (perfbench's wave3d): 4.92% of the points.
+  EXPECT_EQ(edge_band_points<3>({120, 120, 120}, {1, 1, 1}), 84968u);
+  EXPECT_NEAR(84968.0 / (120.0 * 120.0 * 120.0), 0.0492, 5e-5);
+}
+
 TEST(TelemetryCounters, SchedulerSpawnsEqualTasksRun) {
   EnabledScope on(true);
   rt::Scheduler& sched = rt::Scheduler::instance();
@@ -408,8 +479,12 @@ TEST(TelemetryExport, SessionAndRegistrySnapshotAreValidJson) {
     EXPECT_GT(t.seconds, 0.0);
     EXPECT_EQ(t.points(), static_cast<std::uint64_t>(16 * 16 * 4));
     EXPECT_GT(t.points_per_s(), 0.0);
+    // 4 steps x (16^2 - 14^2) points within reach of the edge.
+    EXPECT_EQ(t.walk.points_checked, 240u);
     const auto lint = json::lint(tel::to_json(t));
     EXPECT_TRUE(lint.ok) << lint.error;
+    EXPECT_NE(tel::to_json(t).find("\"points_checked\": 240"),
+              std::string::npos);
   }
   // Session restored the flag (it was off at construction).
   EXPECT_FALSE(tel::enabled());
