@@ -111,6 +111,40 @@ inline Timing summarize(std::vector<double> secs) {
   return {median, (quantile(0.75) - quantile(0.25)) / median};
 }
 
+/// What measure_reps finds for one configuration.
+struct Reps {
+  double cold = 0;              ///< the warm-up rep: the first, cold run
+  Timing timing;                ///< median and spread of the kReps timed reps
+  telemetry::RunTelemetry tel;  ///< counters of the first timed rep
+};
+
+/// Times one configuration the way every bench does: fresh() builds and
+/// fills a grid outside the timer and returns the run to time.  One
+/// warm-up rep (its time is the cold rep), then kReps timed reps, each on
+/// a fresh grid.  A trace::Session named `label` wraps the first timed
+/// rep: a pair of counter snapshots when telemetry is off, and
+/// `force_telemetry` turns the counters on for it.
+template <typename Fresh>
+Reps measure_reps(const std::string& label, Fresh&& fresh,
+                  bool force_telemetry = false) {
+  Reps r;
+  auto warm_up = fresh();
+  r.cold = timed(warm_up);
+  std::vector<double> secs;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto run = fresh();
+    if (rep == 0) {
+      trace::Session session(label, force_telemetry);
+      secs.push_back(timed(run));
+      r.tel = session.finish();
+    } else {
+      secs.push_back(timed(run));
+    }
+  }
+  r.timing = summarize(std::move(secs));
+  return r;
+}
+
 inline void print_header(const char* what, const char* paper_ref) {
   std::printf("==============================================================\n");
   std::printf("%s\n", what);

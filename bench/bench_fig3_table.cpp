@@ -2,11 +2,12 @@
 //   Pochoir on 1 core, Pochoir on all cores, serial loops, parallel loops,
 // reporting times, Pochoir self-speedup, and the loops/Pochoir ratios.
 //
-// Only the run is timed.  Each configuration builds its grid (allocation,
-// fill, registration) outside the timer, runs once untimed to warm up, and
-// then runs kReps timed reps, each on a freshly built and filled grid.
-// The table and every JSON row report the median of the reps and their
-// spread, the distance between the quartiles over the median.
+// Only the run is timed, by measure_reps (bench_common.hpp), as in
+// fig9 (c) and the clone ablation.  Each configuration builds its grid
+// (allocation, fill, registration) outside the timer, runs once to warm
+// up, and then runs kReps timed reps, each on a freshly built and filled
+// grid.  The table and every JSON row report the median of the reps and
+// their spread, the distance between the quartiles over the median.
 //
 // Grids are scaled from the paper's 12-core sizes (e.g. Heat 2 was
 // 16,000^2 x 500 there); the *ratios* are the reproduction target.
@@ -49,40 +50,34 @@ struct Row {
   std::array<telemetry::RunTelemetry, 4> tel{};
 };
 
-/// Runs one benchmark in all four configurations.  The first timed rep of
-/// each config runs inside a trace::Session, which is a pair of counter
-/// snapshots when telemetry is off and additionally feeds the
-/// trace/registry exports when it is on.
+/// Runs one benchmark in all four configurations with measure_reps, whose
+/// session around the first timed rep is a pair of counter snapshots when
+/// telemetry is off and additionally feeds the trace/registry exports
+/// when it is on.
 template <typename Setup>
 Row run_benchmark(const std::string& name, const std::string& dims,
                   const std::string& grid, std::int64_t steps,
                   std::int64_t space_points, Setup&& setup,
                   const std::string& paper_note) {
   Row row{name, dims, grid, steps, space_points, {}, paper_note, {}};
-  auto timed_cfg = [&](const char* cfg, Algorithm alg, bool parallel,
-                       telemetry::RunTelemetry* out) {
-    setup()(alg, parallel);  // warm-up, untimed
-    std::vector<double> secs;
-    for (int rep = 0; rep < kReps; ++rep) {
-      auto runner = setup();  // a fresh grid, built outside the timer
-      if (rep == 0) {
-        trace::Session session(name + " " + dims + "/" + cfg);
-        secs.push_back(timed([&] { runner(alg, parallel); }));
-        *out = session.finish();
-      } else {
-        secs.push_back(timed([&] { runner(alg, parallel); }));
-      }
-    }
-    return summarize(std::move(secs));
+  struct Config {
+    const char* name;
+    Algorithm alg;
+    bool parallel;
   };
-  row.time[0] = timed_cfg("trap_1core", Algorithm::kTrap,
-                          /*parallel=*/false, &row.tel[0]);
-  row.time[1] = timed_cfg("trap_pcore", Algorithm::kTrap,
-                          /*parallel=*/true, &row.tel[1]);
-  row.time[2] = timed_cfg("loops_serial", Algorithm::kLoopsSerial,
-                          /*parallel=*/false, &row.tel[2]);
-  row.time[3] = timed_cfg("loops_parallel", Algorithm::kLoopsParallel,
-                          /*parallel=*/true, &row.tel[3]);
+  const Config configs[4] = {
+      {"trap_1core", Algorithm::kTrap, false},
+      {"trap_pcore", Algorithm::kTrap, true},
+      {"loops_serial", Algorithm::kLoopsSerial, false},
+      {"loops_parallel", Algorithm::kLoopsParallel, true}};
+  for (std::size_t c = 0; c < 4; ++c) {
+    const Config k = configs[c];
+    const Reps r = measure_reps(name + " " + dims + "/" + k.name, [&] {
+      return [runner = setup(), k] { runner(k.alg, k.parallel); };
+    });
+    row.time[c] = r.timing;
+    row.tel[c] = r.tel;
+  }
   std::fprintf(stderr, "  done %-8s (%.2fs/%.2fs/%.2fs/%.2fs)\n", name.c_str(),
                row.time[0].median, row.time[1].median, row.time[2].median,
                row.time[3].median);

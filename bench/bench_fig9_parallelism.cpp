@@ -7,8 +7,10 @@
 // decomposition (see src/analysis/dag_metrics.hpp).  The reproduction
 // targets: TRAP's parallelism grows strictly faster with N than STRAP's
 // for d >= 2 (Theorems 3 vs 5), with the gap widening in 3D.
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -106,10 +108,13 @@ int main() {
               "STRAP ~115; 3D wave N=800: TRAP 337 vs STRAP ~23.\n");
 
   // (c) A *measured* multi-threaded datapoint at whatever core count this
-  // host offers: 2D periodic heat in the four Figure-3 configurations, with
-  // telemetry attached (steal ratio, spawns, points/s) so the parallel
-  // scaling claim is backed by observed scheduler activity, not only the
-  // analytic work/span model above.
+  // host offers: 2D periodic heat in the four Figure-3 configurations,
+  // timed as fig3 times them (measure_reps: grids built outside the timer,
+  // one warm-up, the median of kReps reps), with telemetry attached (steal
+  // ratio, spawns, points/s) so the parallel scaling claim is backed by
+  // observed scheduler activity, not only the analytic work/span model
+  // above.  The warm-up is printed as the cold rep: a run that finds the
+  // workers parked after an idle pause stalls there, not in the median.
   {
     const int threads = rt::Scheduler::instance().num_threads();
     const std::int64_t n = scaled(1200, 1.0 / 3), t = scaled(96, 1.0 / 3);
@@ -129,44 +134,53 @@ int main() {
                          {"loops_parallel", Algorithm::kLoopsParallel, true}};
 
     JsonReport report("fig9_parallelism");
-    Table table({"config", "seconds", "Mpts/s", "speedup vs 1core", "spawns",
-                 "steal ratio"});
+    Table table({"config", "cold rep", "median (spread)", "Mpts/s",
+                 "speedup vs 1core", "spawns", "steal ratio"});
     const double mpts =
         static_cast<double>(n) * static_cast<double>(n) *
         static_cast<double>(t) / 1e6;
     double base_seconds = 0.0;
     for (const Cfg& cfg : cfgs) {
-      // force_enable: this bench exists to produce a measured telemetry
-      // datapoint, so counters are on regardless of POCHOIR_TELEMETRY.
-      trace::Session session(std::string("fig9/") + cfg.name,
-                             /*force_enable=*/true);
-      const double seconds = timed([&] {
-        Array<double, 2> a({n, n}, stencils::heat_shape<2>().depth());
-        a.register_boundary(periodic_boundary<double, 2>());
-        stencils::fill_random(a, 0, 0.0, 1.0);
-        Stencil<2, double> heat(stencils::heat_shape<2>());
-        heat.register_arrays(a);
-        auto kern = stencils::heat_kernel_2d({0.125, 0.125});
-        if (cfg.parallel) {
-          heat.run(cfg.alg, t, kern);
-        } else {
-          heat.run_serial(cfg.alg, t, kern);
-        }
-      });
-      const telemetry::RunTelemetry tel = session.finish();
+      auto fresh = [&] {
+        const auto shape = stencils::heat_shape<2>();
+        auto a = std::make_shared<Array<double, 2>>(
+            std::array<std::int64_t, 2>{n, n}, shape.depth());
+        a->register_boundary(periodic_boundary<double, 2>());
+        stencils::fill_random(*a, 0, 0.0, 1.0);
+        auto heat = std::make_shared<Stencil<2, double>>(shape);
+        heat->register_arrays(*a);
+        return [a, heat, cfg, t] {
+          auto kern = stencils::heat_kernel_2d({0.125, 0.125});
+          if (cfg.parallel) {
+            heat->run(cfg.alg, t, kern);
+          } else {
+            heat->run_serial(cfg.alg, t, kern);
+          }
+        };
+      };
+      // force_telemetry: this bench exists to produce a measured telemetry
+      // datapoint, so counters are on for the first timed rep regardless
+      // of POCHOIR_TELEMETRY.
+      const Reps r = measure_reps(std::string("fig9/") + cfg.name, fresh,
+                                  /*force_telemetry=*/true);
+      const double seconds = r.timing.median;
       if (base_seconds == 0.0) base_seconds = seconds;
-      table.add_row({cfg.name, strf("%.3fs", seconds),
+      table.add_row({cfg.name, strf("%.3fs", r.cold),
+                     strf("%.3fs (%.0f%%)", seconds, 100 * r.timing.spread),
                      strf("%.1f", mpts / seconds),
                      strf("%.2f", base_seconds / seconds),
-                     std::to_string(tel.sched.spawns),
-                     strf("%.3f", tel.sched.steal_ratio())});
+                     std::to_string(r.tel.sched.spawns),
+                     strf("%.3f", r.tel.sched.steal_ratio())});
       report.add("Heat 2p", std::to_string(n) + "^2", t, cfg.name, seconds,
-                 mpts / seconds, &tel);
+                 mpts / seconds, &r.tel, r.timing.spread);
     }
     table.print();
-    std::printf("note: speedup is vs trap_1core on this host (%d thread(s)); "
-                "the paper's Figure 9 is the analytic sections above.\n",
-                threads);
+    std::printf("note: times are medians of %d reps (spread: interquartile "
+                "range / median) after one warm-up, the cold rep; speedup "
+                "is of the medians, vs trap_1core on this host (%d "
+                "thread(s)); the paper's Figure 9 is the analytic sections "
+                "above.\n",
+                kReps, threads);
   }
   return 0;
 }

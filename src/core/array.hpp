@@ -116,21 +116,21 @@ class Array {
 
   /// Creates a grid with the given spatial extents and temporal depth
   /// (depth+1 circular time levels; depth must match the stencil shape).
-  /// Constructor misuse (non-positive extents or depth) throws
-  /// pochoir::Error — it is user input, not an internal invariant.
+  /// Constructor misuse (non-positive extents or depth, or a size that
+  /// overflows) throws pochoir::Error — it is user input, not an internal
+  /// invariant.
   explicit Array(std::array<std::int64_t, D> extents, std::int64_t depth = 1)
-      : extents_(extents), levels_(depth + 1) {
-    detail::check_usage(depth >= 1, "array temporal depth must be >= 1");
+      : extents_(extents), levels_(checked_levels(depth)) {
     std::int64_t stride = 1;
     for (int i = D - 1; i >= 0; --i) {
       detail::check_usage(extents_[static_cast<std::size_t>(i)] >= 1,
                           "array extents must be positive");
       strides_[static_cast<std::size_t>(i)] = stride;
-      stride *= extents_[static_cast<std::size_t>(i)];
+      stride = checked_product(stride, extents_[static_cast<std::size_t>(i)]);
     }
     level_size_ = stride;
     storage_ = AlignedBuffer<T>(
-        static_cast<std::size_t>(level_size_ * levels_));
+        static_cast<std::size_t>(checked_product(level_size_, levels_)));
     level_offsets_.resize(static_cast<std::size_t>(2 * levels_));
     for (std::int64_t k = 0; k < 2 * levels_; ++k) {
       level_offsets_[static_cast<std::size_t>(k)] = (k % levels_) * level_size_;
@@ -278,6 +278,18 @@ class Array {
     std::size_t i = 0;
     for (std::int64_t v : list) out[i++] = v;
     return out;
+  }
+
+  static std::int64_t checked_levels(std::int64_t depth) {
+    detail::check_usage(depth >= 1, "array temporal depth must be >= 1");
+    detail::check_usage(depth < INT64_MAX, "array temporal depth overflows");
+    return depth + 1;
+  }
+
+  /// a * b for positive sizes a and b.
+  static std::int64_t checked_product(std::int64_t a, std::int64_t b) {
+    detail::check_usage(a <= INT64_MAX / b, "array size overflows");
+    return a * b;
   }
 
   template <int I, typename F>

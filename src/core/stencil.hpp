@@ -168,19 +168,12 @@ class Stencil {
     detail::check_usage(registered_,
                         "register_arrays must be called before running");
     WalkContext<D> ctx = WalkContext<D>::make(shape_, grid_, opts_);
-    ctx.cancel = cancel_;
     if (telemetry::enabled()) ctx.stats = &telemetry::walk_stats();
     if (trace::Tracer::instance().active()) {
       ctx.trace_depth = trace::zoid_depth_limit();
     }
     return ctx;
   }
-
-  /// Installs a cancellation token polled by every run path (TRAP/STRAP at
-  /// zoid granularity, loops per time step); nullptr removes it.  A run
-  /// interrupted this way may leave arrays mid-step — use run_supervised()
-  /// when consistency at a slab boundary is required.
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
   // --- execution -----------------------------------------------------------
 
@@ -348,23 +341,6 @@ class Stencil {
 
   // --- resilience glue -----------------------------------------------------
 
-  /// Installs a token for the duration of one supervised run, restoring
-  /// whatever set_cancel_token() had put there on exit.
-  class CancelTokenScope {
-   public:
-    CancelTokenScope(Stencil& s, const CancelToken* token)
-        : s_(s), prev_(s.cancel_) {
-      if (token != nullptr) s_.cancel_ = token;
-    }
-    ~CancelTokenScope() { s_.cancel_ = prev_; }
-    CancelTokenScope(const CancelTokenScope&) = delete;
-    CancelTokenScope& operator=(const CancelTokenScope&) = delete;
-
-   private:
-    Stencil& s_;
-    const CancelToken* prev_;
-  };
-
   /// Views of every registered array's storage (all circular time levels)
   /// in the checkpoint layout: what a Snapshot captures and restores.
   [[nodiscard]] std::vector<resilience::ArraySnapshot> array_views() const {
@@ -442,13 +418,11 @@ class Stencil {
     if (token != nullptr && opts.deadline_ms >= 0) {
       token->set_deadline_after_ms(opts.deadline_ms);
     }
-    CancelTokenScope scope(*this, token);
-
     auto run_slab = [&](std::int64_t n, bool serial) {
       if (serial) {
-        execute(Algorithm::kLoopsSerial, /*parallel=*/false, n, ib, bb);
+        execute(Algorithm::kLoopsSerial, /*parallel=*/false, n, ib, bb, token);
       } else {
-        execute(Algorithm::kTrap, /*parallel=*/true, n, ib, bb);
+        execute(Algorithm::kTrap, /*parallel=*/true, n, ib, bb, token);
       }
     };
     auto health = [&] { return health_scan(opts.divergence_limit); };
@@ -470,13 +444,17 @@ class Stencil {
   /// The one execution path behind every run entry: validates the request,
   /// opens the run's trace span, and drives the chosen engine over the
   /// next `steps` steps with the leaf's two base cases.  kLoopsSerial
-  /// always runs on the calling thread.
+  /// always runs on the calling thread.  The engines poll `cancel` (TRAP
+  /// and STRAP per zoid, the loops per time step); only the supervisor
+  /// passes one, and it rolls a cancelled slab back.
   void execute(Algorithm alg, bool parallel, std::int64_t steps,
-               BaseCase<D> ib, BaseCase<D> bb) {
+               BaseCase<D> ib, BaseCase<D> bb,
+               const CancelToken* cancel = nullptr) {
     validate_run(steps);
     trace::Span span("stencil_run", steps);
     const auto [t0, t1] = time_range(steps);
-    const WalkContext<D> ctx = context();
+    WalkContext<D> ctx = context();
+    ctx.cancel = cancel;
     auto engine = [&](const auto& pol) {
       switch (alg) {
         case Algorithm::kTrap:
@@ -683,7 +661,6 @@ class Stencil {
   std::array<std::int64_t, D> grid_{};
   bool registered_ = false;
   std::int64_t steps_done_ = 0;
-  const CancelToken* cancel_ = nullptr;
   /// The supervisor's rollback point and checkpoint image, and what
   /// resume() loads; kept across runs so its buffer is allocated once.
   resilience::Snapshot snapshot_;

@@ -43,8 +43,8 @@ inline void cpu_relax() {
 // Telemetry increments are fully guarded so the disabled path costs one
 // relaxed load; the counters themselves are relaxed adds to thread-owned
 // cache lines.
-inline void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
-  if (telemetry::enabled()) counter.fetch_add(n, std::memory_order_relaxed);
+inline void bump(std::uint64_t& counter) {
+  if (telemetry::enabled()) telemetry::add(counter);
 }
 
 }  // namespace
@@ -111,16 +111,15 @@ Scheduler::~Scheduler() {
   for (auto& thread : threads_) thread.join();
 }
 
-telemetry::WorkerStats& Scheduler::caller_stats() {
+telemetry::SchedulerCounters& Scheduler::caller_stats() {
   const int index = tls_worker_index;
   return index >= 0 ? slots_[static_cast<std::size_t>(index)]->stats
                     : external_stats_;
 }
 
 telemetry::SchedulerCounters Scheduler::counters() const {
-  telemetry::SchedulerCounters total;
-  for (const auto& slot : slots_) total += slot->stats;
-  total += external_stats_;
+  telemetry::SchedulerCounters total = telemetry::load(external_stats_);
+  for (const auto& slot : slots_) total += telemetry::load(slot->stats);
   return total;
 }
 

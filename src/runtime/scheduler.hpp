@@ -12,6 +12,10 @@
 // pool (e.g. the program main thread) submit through a shared injection
 // queue and help execute while waiting, so fork-join calls work from any
 // thread without deadlock.
+//
+// Telemetry: each worker owns a live telemetry::SchedulerCounters record in
+// its slot, and the threads outside the pool share one; counters() sums
+// relaxed loads of them while the workers keep adding.
 #pragma once
 
 #include <atomic>
@@ -94,16 +98,17 @@ class Scheduler {
   struct WorkerSlot {
     TaskDeque deque;
     std::uint64_t steal_seed = 0;
-    telemetry::WorkerStats stats;
+    /// This worker's live counters, on a cache line of their own.
+    alignas(64) telemetry::SchedulerCounters stats;
   };
 
   explicit Scheduler(int num_workers);
   void worker_main(int index);
   Task* try_steal(std::uint64_t& seed);
   Task* pop_injected();
-  /// Stats slot for the calling thread: its worker slot, or the shared
-  /// external-thread slot for threads outside the pool.
-  telemetry::WorkerStats& caller_stats();
+  /// Live counters of the calling thread: its worker slot's, or the
+  /// shared record of threads outside the pool.
+  telemetry::SchedulerCounters& caller_stats();
 
   int num_workers_;
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
@@ -119,9 +124,10 @@ class Scheduler {
   std::atomic<std::uint64_t> work_epoch_{0};
   std::atomic<bool> shutting_down_{false};
 
-  /// Counters for threads that are not pool workers (the program main
-  /// thread and anything else calling in from outside).
-  telemetry::WorkerStats external_stats_;
+  /// Live counters of the threads that are not pool workers (the program
+  /// main thread and anything else calling in from outside), on a cache
+  /// line of their own.
+  alignas(64) telemetry::SchedulerCounters external_stats_;
 
   static std::atomic<int> requested_threads_;
   static std::atomic<Scheduler*> live_instance_;

@@ -6,11 +6,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <utility>
 
 #include "support/assertion.hpp"
+#include "support/error.hpp"
 
 namespace pochoir {
 
@@ -22,8 +24,14 @@ class AlignedBuffer {
 
   AlignedBuffer() = default;
 
+  /// Throws pochoir::Error when count elements overflow a byte count.
   explicit AlignedBuffer(std::size_t count) : size_(count) {
     if (count == 0) return;
+    // A plain throw, not check_usage: the compiler must see that the loop
+    // below is unreachable for a constant count that overflows.
+    if (count > (SIZE_MAX - kAlignment) / sizeof(T)) {
+      throw Error("buffer size overflows");
+    }
     const std::size_t bytes = round_up(count * sizeof(T));
     data_ = static_cast<T*>(::operator new(bytes, std::align_val_t(kAlignment)));
     for (std::size_t i = 0; i < count; ++i) new (data_ + i) T();

@@ -1,6 +1,8 @@
 // Telemetry reporting: per-run snapshots, a process-wide registry with
 // JSON export, the chrome://tracing exporter, and the RAII trace::Session
-// that ties counters + trace to one measured region.
+// that ties counters + trace to one measured region.  The "walk" and
+// "sched" objects of the JSON and the registry totals walk each counter
+// record's fields() (stats.hpp), so no counter is named here.
 //
 // All file output goes through io::atomic_write_file so a crash mid-export
 // never leaves a truncated JSON behind.
@@ -50,8 +52,12 @@ inline void json_escape_into(std::string& out, const std::string& s) {
   }
 }
 
+inline std::string json_value(std::uint64_t count) {
+  return std::to_string(count);
+}
+
 template <std::size_t N>
-inline std::string hist_json(const std::array<std::uint64_t, N>& hist) {
+inline std::string json_value(const std::array<std::uint64_t, N>& hist) {
   // Trim to the last non-zero bucket so small runs stay readable.
   std::size_t last = 0;
   for (std::size_t i = 0; i < N; ++i) {
@@ -64,6 +70,21 @@ inline std::string hist_json(const std::array<std::uint64_t, N>& hist) {
   }
   out += "]";
   return out;
+}
+
+/// Appends the counters of record `r` as "name": value members, in the
+/// order of R::fields.
+template <typename R>
+void append_counters(std::string& out, const R& r) {
+  const char* sep = "";
+  R::fields([&](const char* name, auto counter) {
+    out += sep;
+    out += "\"";
+    out += name;
+    out += "\": ";
+    out += json_value(r.*counter);
+    sep = ", ";
+  });
 }
 
 }  // namespace detail
@@ -86,29 +107,11 @@ inline std::string to_json(const RunTelemetry& t, bool include_label = true) {
   out += ", \"points\": " + std::to_string(t.points());
   out += ", \"points_per_s\": ";
   out += buf;
-  const WalkCounters& w = t.walk;
   out += ", \"walk\": {";
-  out += "\"space_cuts\": " + std::to_string(w.space_cuts);
-  out += ", \"time_cuts\": " + std::to_string(w.time_cuts);
-  out += ", \"base_interior\": " + std::to_string(w.base_interior);
-  out += ", \"base_boundary\": " + std::to_string(w.base_boundary);
-  out += ", \"loops_steps\": " + std::to_string(w.loops_steps);
-  out += ", \"points_interior\": " + std::to_string(w.points_interior);
-  out += ", \"points_boundary\": " + std::to_string(w.points_boundary);
-  out += ", \"points_loops\": " + std::to_string(w.points_loops);
-  out += ", \"points_checked\": " + std::to_string(w.points_checked);
-  out += ", \"zoid_points_hist\": " + detail::hist_json(w.zoid_points_hist);
-  out += ", \"zoid_height_hist\": " + detail::hist_json(w.zoid_height_hist);
-  out += "}";
-  const SchedulerCounters& s = t.sched;
-  out += ", \"sched\": {";
-  out += "\"spawns\": " + std::to_string(s.spawns);
-  out += ", \"tasks_run\": " + std::to_string(s.tasks_run);
-  out += ", \"steals\": " + std::to_string(s.steals);
-  out += ", \"failed_steals\": " + std::to_string(s.failed_steals);
-  out += ", \"idle_spins\": " + std::to_string(s.idle_spins);
-  out += ", \"parks\": " + std::to_string(s.parks);
-  std::snprintf(buf, sizeof(buf), "%.4f", s.steal_ratio());
+  detail::append_counters(out, t.walk);
+  out += "}, \"sched\": {";
+  detail::append_counters(out, t.sched);
+  std::snprintf(buf, sizeof(buf), "%.4f", t.sched.steal_ratio());
   out += ", \"steal_ratio\": ";
   out += buf;
   out += "}}";
@@ -141,27 +144,8 @@ class Registry {
     totals.label = "totals";
     for (const RunTelemetry& t : sessions) {
       totals.seconds += t.seconds;
-      totals.walk.space_cuts += t.walk.space_cuts;
-      totals.walk.time_cuts += t.walk.time_cuts;
-      totals.walk.base_interior += t.walk.base_interior;
-      totals.walk.base_boundary += t.walk.base_boundary;
-      totals.walk.loops_steps += t.walk.loops_steps;
-      totals.walk.points_interior += t.walk.points_interior;
-      totals.walk.points_boundary += t.walk.points_boundary;
-      totals.walk.points_loops += t.walk.points_loops;
-      totals.walk.points_checked += t.walk.points_checked;
-      for (int i = 0; i < kHistogramBuckets; ++i) {
-        totals.walk.zoid_points_hist[static_cast<std::size_t>(i)] +=
-            t.walk.zoid_points_hist[static_cast<std::size_t>(i)];
-        totals.walk.zoid_height_hist[static_cast<std::size_t>(i)] +=
-            t.walk.zoid_height_hist[static_cast<std::size_t>(i)];
-      }
-      totals.sched.spawns += t.sched.spawns;
-      totals.sched.tasks_run += t.sched.tasks_run;
-      totals.sched.steals += t.sched.steals;
-      totals.sched.failed_steals += t.sched.failed_steals;
-      totals.sched.idle_spins += t.sched.idle_spins;
-      totals.sched.parks += t.sched.parks;
+      totals.walk += t.walk;
+      totals.sched += t.sched;
     }
     const auto result = io::atomic_write_file(path, [&](std::FILE* f) {
       std::fputs("{\"schema\": \"pochoir-telemetry-v1\", \"sessions\": [",

@@ -1,31 +1,39 @@
 // Runtime telemetry counters: the always-compiled, near-zero-overhead-when-
-// off measurement substrate.
+// off measurement substrate.  Each layer keeps its counters in one record
+// of uint64 fields:
 //
-// Two counter families:
+//   - SchedulerCounters (spawns, steals, failed steals, tasks run, idle
+//     spins, parks).  The scheduler keeps one live record per worker and
+//     one for threads outside the pool, each on its own cache line, and
+//     sums them on demand.
+//   - WalkCounters (space/time cuts, base cases by clone, zoid size/height
+//     histograms, points updated, points the boundary clone checked).
+//     WalkStats holds the live record; walkers add to it through
+//     WalkContext at zoid / time-step granularity only, never in an inner
+//     loop.
 //
-//   - WorkerStats: per-worker scheduler counters (spawns, steals, failed
-//     steals, tasks run, idle spins, parks).  Each worker owns one
-//     cache-line-padded slot and increments it with relaxed atomics, so
-//     collection never introduces cross-core contention; the scheduler
-//     aggregates slots into a SchedulerCounters snapshot on demand.
-//
-//   - WalkStats: per-run walk counters (space/time cuts, base cases by
-//     engine, zoid size/height histograms, points updated, points the
-//     boundary clone checked).  Accumulated
-//     through WalkContext at zoid / time-step granularity only — never in
-//     an inner loop — preserving the allocation-free, branch-light hot path
-//     established in PR 1.
+// A record lists its counters once, in JSON order, in a static fields(f)
+// visitor, f(name, &Record::counter), which the delta (operator-), the sum
+// (operator+=), load(), telemetry::to_json and the registry totals walk;
+// the arithmetic and load() are defined once, for every CounterRecord.
+// So a new counter is one field, one fields() line and its increment.
+// Live records are touched only through relaxed std::atomic_ref adds
+// (add()) and loads (load()), so a snapshot may read a record while other
+// threads add to it.
 //
 // Everything is gated on one process-wide flag (telemetry::enabled()),
 // default off unless POCHOIR_TELEMETRY is set; when off the only cost is a
 // relaxed load + branch at coarse granularity.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <type_traits>
 
 namespace pochoir::telemetry {
 
@@ -41,6 +49,25 @@ inline std::atomic<bool>& enabled_flag() {
   return flag;
 }
 
+/// op(to, from) on one counter: a count, or each bucket of a histogram.
+template <typename V, typename Op>
+void each(V& to, const V& from, Op op) {
+  if constexpr (std::is_same_v<V, std::uint64_t>) {
+    op(to, from);
+  } else {
+    for (std::size_t i = 0; i < to.size(); ++i) op(to[i], from[i]);
+  }
+}
+
+/// op(to.c, from.c) on every counter c of record R, in R::fields order.
+template <typename R, typename Op>
+R& zip(R& to, const R& from, Op op) {
+  R::fields([&](const char*, auto counter) {
+    each(to.*counter, from.*counter, op);
+  });
+  return to;
+}
+
 }  // namespace detail
 
 /// Process-wide counter-collection switch.  Defaults to POCHOIR_TELEMETRY
@@ -53,47 +80,59 @@ inline void set_enabled(bool on) {
   detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-/// Per-worker scheduler counters.  One cache line per worker: increments
-/// are relaxed stores to an owned line, so enabling telemetry does not
-/// serialize the work-stealing hot paths.
-struct alignas(64) WorkerStats {
-  std::atomic<std::uint64_t> spawns{0};         ///< tasks submitted by this thread
-  std::atomic<std::uint64_t> tasks_run{0};      ///< tasks executed by this thread
-  std::atomic<std::uint64_t> steals{0};         ///< successful steals
-  std::atomic<std::uint64_t> failed_steals{0};  ///< steal rounds that found nothing
-  std::atomic<std::uint64_t> idle_spins{0};     ///< relax-loop iterations while idle
-  std::atomic<std::uint64_t> parks{0};          ///< times this worker blocked on the CV
-};
+static_assert(alignof(std::uint64_t) >=
+                  std::atomic_ref<std::uint64_t>::required_alignment,
+              "counter fields must be aligned for std::atomic_ref");
 
-/// Plain aggregate of scheduler counters (a point-in-time snapshot; deltas
-/// of two snapshots describe one run).
+/// Relaxed add to a counter of a live record.
+inline void add(std::uint64_t& counter, std::uint64_t n = 1) {
+  std::atomic_ref(counter).fetch_add(n, std::memory_order_relaxed);
+}
+
+/// A counter record: a struct of counters with a static fields(f).
+template <typename R>
+concept CounterRecord = requires { R::fields([](const char*, auto) {}); };
+
+/// The sum and the delta of two records, counter by counter.
+template <CounterRecord R>
+R& operator+=(R& a, const R& b) {
+  return detail::zip(a, b, [](auto& x, const auto& y) { x += y; });
+}
+template <CounterRecord R>
+R operator-(R a, const R& b) {
+  return detail::zip(a, b, [](auto& x, const auto& y) { x -= y; });
+}
+
+/// A copy of a live record, each counter read with a relaxed load, while
+/// other threads may keep adding to it.
+template <CounterRecord R>
+[[nodiscard]] R load(const R& live) {
+  R copy;
+  return detail::zip(copy, live, [](std::uint64_t& to,
+                                    const std::uint64_t& from) {
+    // atomic_ref needs a mutable referent; the load does not write.
+    to = std::atomic_ref(const_cast<std::uint64_t&>(from))
+             .load(std::memory_order_relaxed);
+  });
+}
+
+/// Scheduler counters of one thread (a live record), or a sum or delta.
 struct SchedulerCounters {
-  std::uint64_t spawns = 0;
-  std::uint64_t tasks_run = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t failed_steals = 0;
-  std::uint64_t idle_spins = 0;
-  std::uint64_t parks = 0;
+  std::uint64_t spawns = 0;         ///< tasks submitted
+  std::uint64_t tasks_run = 0;      ///< tasks executed
+  std::uint64_t steals = 0;         ///< successful steals
+  std::uint64_t failed_steals = 0;  ///< steal rounds that found nothing
+  std::uint64_t idle_spins = 0;     ///< relax-loop iterations while idle
+  std::uint64_t parks = 0;          ///< times a worker blocked on the CV
 
-  SchedulerCounters& operator+=(const WorkerStats& w) {
-    spawns += w.spawns.load(std::memory_order_relaxed);
-    tasks_run += w.tasks_run.load(std::memory_order_relaxed);
-    steals += w.steals.load(std::memory_order_relaxed);
-    failed_steals += w.failed_steals.load(std::memory_order_relaxed);
-    idle_spins += w.idle_spins.load(std::memory_order_relaxed);
-    parks += w.parks.load(std::memory_order_relaxed);
-    return *this;
-  }
-
-  SchedulerCounters operator-(const SchedulerCounters& o) const {
-    SchedulerCounters d;
-    d.spawns = spawns - o.spawns;
-    d.tasks_run = tasks_run - o.tasks_run;
-    d.steals = steals - o.steals;
-    d.failed_steals = failed_steals - o.failed_steals;
-    d.idle_spins = idle_spins - o.idle_spins;
-    d.parks = parks - o.parks;
-    return d;
+  template <typename F>
+  static void fields(F&& f) {
+    f("spawns", &SchedulerCounters::spawns);
+    f("tasks_run", &SchedulerCounters::tasks_run);
+    f("steals", &SchedulerCounters::steals);
+    f("failed_steals", &SchedulerCounters::failed_steals);
+    f("idle_spins", &SchedulerCounters::idle_spins);
+    f("parks", &SchedulerCounters::parks);
   }
 
   /// Fraction of executed tasks that arrived via a steal — the
@@ -108,13 +147,16 @@ struct SchedulerCounters {
 inline constexpr int kHistogramBuckets = 32;
 
 /// log2 bucket index for histogram counters (bucket k holds [2^k, 2^(k+1))).
-[[nodiscard]] inline int log2_bucket(std::uint64_t v) {
+[[nodiscard]] inline std::size_t log2_bucket(std::uint64_t v) {
   const int b = v == 0 ? 0 : std::bit_width(v) - 1;
-  return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
+  return static_cast<std::size_t>(std::min(b, kHistogramBuckets - 1));
 }
 
-/// Plain snapshot of the walk counters.
+/// Walk counters (the live record of WalkStats), or a snapshot, sum or
+/// delta.
 struct WalkCounters {
+  using Histogram = std::array<std::uint64_t, kHistogramBuckets>;
+
   std::uint64_t space_cuts = 0;      ///< hyperspace/dim cuts applied
   std::uint64_t time_cuts = 0;       ///< time halvings applied
   std::uint64_t base_interior = 0;   ///< base-case zoids run on the interior clone
@@ -124,8 +166,23 @@ struct WalkCounters {
   std::uint64_t points_boundary = 0; ///< points updated in boundary base cases
   std::uint64_t points_loops = 0;    ///< points updated by the loops engine
   std::uint64_t points_checked = 0;  ///< points run checked by the boundary clone
-  std::array<std::uint64_t, kHistogramBuckets> zoid_points_hist{};  ///< base zoid volume, log2 buckets
-  std::array<std::uint64_t, kHistogramBuckets> zoid_height_hist{};  ///< base zoid height, log2 buckets
+  Histogram zoid_points_hist{};      ///< base zoid volume, log2 buckets
+  Histogram zoid_height_hist{};      ///< base zoid height, log2 buckets
+
+  template <typename F>
+  static void fields(F&& f) {
+    f("space_cuts", &WalkCounters::space_cuts);
+    f("time_cuts", &WalkCounters::time_cuts);
+    f("base_interior", &WalkCounters::base_interior);
+    f("base_boundary", &WalkCounters::base_boundary);
+    f("loops_steps", &WalkCounters::loops_steps);
+    f("points_interior", &WalkCounters::points_interior);
+    f("points_boundary", &WalkCounters::points_boundary);
+    f("points_loops", &WalkCounters::points_loops);
+    f("points_checked", &WalkCounters::points_checked);
+    f("zoid_points_hist", &WalkCounters::zoid_points_hist);
+    f("zoid_height_hist", &WalkCounters::zoid_height_hist);
+  }
 
   [[nodiscard]] std::uint64_t points_total() const {
     return points_interior + points_boundary + points_loops;
@@ -133,99 +190,48 @@ struct WalkCounters {
   [[nodiscard]] std::uint64_t base_cases() const {
     return base_interior + base_boundary;
   }
-
-  WalkCounters operator-(const WalkCounters& o) const {
-    WalkCounters d;
-    d.space_cuts = space_cuts - o.space_cuts;
-    d.time_cuts = time_cuts - o.time_cuts;
-    d.base_interior = base_interior - o.base_interior;
-    d.base_boundary = base_boundary - o.base_boundary;
-    d.loops_steps = loops_steps - o.loops_steps;
-    d.points_interior = points_interior - o.points_interior;
-    d.points_boundary = points_boundary - o.points_boundary;
-    d.points_loops = points_loops - o.points_loops;
-    d.points_checked = points_checked - o.points_checked;
-    for (int i = 0; i < kHistogramBuckets; ++i) {
-      d.zoid_points_hist[i] = zoid_points_hist[i] - o.zoid_points_hist[i];
-      d.zoid_height_hist[i] = zoid_height_hist[i] - o.zoid_height_hist[i];
-    }
-    return d;
-  }
 };
 
-/// Thread-safe walk-counter sink.  All increments are relaxed atomics and
-/// happen at zoid or time-step granularity — the inner row loops never see
-/// a counter.  Walkers reach it through WalkContext::stats (nullptr = off).
+/// Thread-safe walk-counter sink: the live WalkCounters record, added to
+/// at zoid or time-step granularity — the inner row loops never see a
+/// counter.  Walkers reach it through WalkContext::stats (nullptr = off).
+/// Not copyable: walkers on other threads hold its address.
 class WalkStats {
  public:
-  void on_space_cut() { space_cuts_.fetch_add(1, kOrder); }
-  void on_time_cut() { time_cuts_.fetch_add(1, kOrder); }
+  WalkStats() = default;
+  WalkStats(const WalkStats&) = delete;
+  WalkStats& operator=(const WalkStats&) = delete;
+
+  void on_space_cut() { add(live_.space_cuts); }
+  void on_time_cut() { add(live_.time_cuts); }
 
   /// One base-case zoid handed to a kernel clone; `points` is its exact
   /// space-time volume.
   void on_base(std::uint64_t points, std::int64_t height, bool interior) {
-    if (interior) {
-      base_interior_.fetch_add(1, kOrder);
-      points_interior_.fetch_add(points, kOrder);
-    } else {
-      base_boundary_.fetch_add(1, kOrder);
-      points_boundary_.fetch_add(points, kOrder);
-    }
-    zoid_points_hist_[static_cast<std::size_t>(log2_bucket(points))].fetch_add(
-        1, kOrder);
-    const std::uint64_t h =
-        height > 0 ? static_cast<std::uint64_t>(height) : 0;
-    zoid_height_hist_[static_cast<std::size_t>(log2_bucket(h))].fetch_add(
-        1, kOrder);
+    add(interior ? live_.base_interior : live_.base_boundary);
+    add(interior ? live_.points_interior : live_.points_boundary, points);
+    add(live_.zoid_points_hist[log2_bucket(points)]);
+    add(live_.zoid_height_hist[log2_bucket(
+        height > 0 ? static_cast<std::uint64_t>(height) : 0)]);
   }
 
   /// One whole time step completed by the loops engine (`points` = spatial
   /// grid volume).
   void on_loops_step(std::uint64_t points) {
-    loops_steps_.fetch_add(1, kOrder);
-    points_loops_.fetch_add(points, kOrder);
+    add(live_.loops_steps);
+    add(live_.points_loops, points);
   }
 
   /// The checked points of one boundary base case (make_boundary_base):
   /// its flanks and the rows within reach of the grid edge.
   void on_checked_points(std::uint64_t points) {
-    points_checked_.fetch_add(points, kOrder);
+    add(live_.points_checked, points);
   }
 
-  [[nodiscard]] WalkCounters snapshot() const {
-    WalkCounters c;
-    c.space_cuts = space_cuts_.load(kOrder);
-    c.time_cuts = time_cuts_.load(kOrder);
-    c.base_interior = base_interior_.load(kOrder);
-    c.base_boundary = base_boundary_.load(kOrder);
-    c.loops_steps = loops_steps_.load(kOrder);
-    c.points_interior = points_interior_.load(kOrder);
-    c.points_boundary = points_boundary_.load(kOrder);
-    c.points_loops = points_loops_.load(kOrder);
-    c.points_checked = points_checked_.load(kOrder);
-    for (int i = 0; i < kHistogramBuckets; ++i) {
-      c.zoid_points_hist[static_cast<std::size_t>(i)] =
-          zoid_points_hist_[static_cast<std::size_t>(i)].load(kOrder);
-      c.zoid_height_hist[static_cast<std::size_t>(i)] =
-          zoid_height_hist_[static_cast<std::size_t>(i)].load(kOrder);
-    }
-    return c;
-  }
+  [[nodiscard]] WalkCounters snapshot() const { return load(live_); }
 
  private:
-  static constexpr auto kOrder = std::memory_order_relaxed;
-
-  std::atomic<std::uint64_t> space_cuts_{0};
-  std::atomic<std::uint64_t> time_cuts_{0};
-  std::atomic<std::uint64_t> base_interior_{0};
-  std::atomic<std::uint64_t> base_boundary_{0};
-  std::atomic<std::uint64_t> loops_steps_{0};
-  std::atomic<std::uint64_t> points_interior_{0};
-  std::atomic<std::uint64_t> points_boundary_{0};
-  std::atomic<std::uint64_t> points_loops_{0};
-  std::atomic<std::uint64_t> points_checked_{0};
-  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> zoid_points_hist_{};
-  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> zoid_height_hist_{};
+  WalkCounters live_;
 };
 
 /// The process-wide walk-stat sink.  Stencil::context() attaches it to the

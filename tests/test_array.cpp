@@ -1,8 +1,12 @@
 // Tests for Array<T,D>: layout, circular time levels, checked access (§2).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/array.hpp"
 #include "core/boundary.hpp"
+#include "support/aligned_buffer.hpp"
+#include "support/error.hpp"
 
 namespace pochoir {
 namespace {
@@ -124,6 +128,25 @@ TEST(Array, StructCells) {
 TEST(Array, SixtyFourByteAligned) {
   Array<double, 1> a({100});
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % 64, 0u);
+}
+
+// Sizes whose products overflow 64 bits throw instead of wrapping to a
+// small (here zero-sized) allocation that every access would overrun.
+TEST(Array, OverflowingSizesThrow) {
+  // Points per level: 2^64.
+  EXPECT_THROW((Array<double, 2>({1LL << 32, 1LL << 32}, 1)), Error);
+  EXPECT_THROW((Array<double, 3>({1LL << 21, 1LL << 21, 1LL << 22}, 1)),
+               Error);
+  // depth + 1 time levels.
+  EXPECT_THROW((Array<double, 1>({4}, INT64_MAX)), Error);
+  // 2^62 points per level fit, but not times two levels.
+  EXPECT_THROW((Array<double, 2>({1LL << 31, 1LL << 31}, 1)), Error);
+}
+
+// 2^61 elements fit in 64 bits, but their 2^64 bytes do not.
+TEST(Array, OverflowingByteCountThrows) {
+  EXPECT_THROW((Array<double, 2>({1LL << 30, 1LL << 30}, 1)), Error);
+  EXPECT_THROW(AlignedBuffer<double>(SIZE_MAX / 4), Error);
 }
 
 }  // namespace

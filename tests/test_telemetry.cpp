@@ -4,7 +4,8 @@
 // well-formedness and span nesting, one stencil_run span per run entry
 // point, registry/export round trips through the JSON linter, the
 // off-by-default allocation-free guarantee, a Registry that keeps only
-// counted or exported sessions, and the RunReport timing fields,
+// counted or exported sessions, the JSON bytes and fieldwise arithmetic
+// of the counter records, and the RunReport timing fields,
 // restore_point spans and once-allocated snapshot buffer of supervised
 // runs, and a resume that rolls back to the generation it restored
 // without capturing it again.
@@ -513,6 +514,95 @@ TEST(TelemetryExport, RegistryKeepsOnlyCountedOrExportedSessions) {
     trace::Session session("test/counted", /*force_enable=*/true);
   }
   EXPECT_EQ(tel::Registry::instance().sessions().size(), before + 1);
+}
+
+/// A RunTelemetry in which every walk and scheduler counter, and six
+/// histogram buckets, hold distinct values, each multiplied by k.
+tel::RunTelemetry distinct_counters(std::uint64_t k) {
+  tel::RunTelemetry t;
+  t.label = "golden \"run\"";
+  t.seconds = 0.5;
+  tel::WalkCounters& w = t.walk;
+  w.space_cuts = 11 * k;
+  w.time_cuts = 12 * k;
+  w.base_interior = 13 * k;
+  w.base_boundary = 14 * k;
+  w.loops_steps = 15 * k;
+  w.points_interior = 1600 * k;
+  w.points_boundary = 1700 * k;
+  w.points_loops = 1800 * k;
+  w.points_checked = 19 * k;
+  w.zoid_points_hist[0] = 21 * k;
+  w.zoid_points_hist[3] = 22 * k;
+  w.zoid_points_hist[7] = 23 * k;
+  w.zoid_height_hist[1] = 24 * k;
+  w.zoid_height_hist[2] = 25 * k;
+  w.zoid_height_hist[31] = 26 * k;
+  tel::SchedulerCounters& s = t.sched;
+  s.spawns = 31 * k;
+  s.tasks_run = 32 * k;
+  s.steals = 8 * k;
+  s.failed_steals = 34 * k;
+  s.idle_spins = 35 * k;
+  s.parks = 36 * k;
+  return t;
+}
+
+/// Expects every counter of `got` to equal the one of `want`.  The
+/// counters are listed here, not taken from the records' fields().
+void expect_same_counters(const tel::RunTelemetry& got,
+                          const tel::RunTelemetry& want) {
+  using W = tel::WalkCounters;
+  using S = tel::SchedulerCounters;
+  int i = 0;
+  for (auto c : {&W::space_cuts, &W::time_cuts, &W::base_interior,
+                 &W::base_boundary, &W::loops_steps, &W::points_interior,
+                 &W::points_boundary, &W::points_loops, &W::points_checked}) {
+    EXPECT_EQ(got.walk.*c, want.walk.*c) << "walk counter " << i++;
+  }
+  EXPECT_EQ(got.walk.zoid_points_hist, want.walk.zoid_points_hist);
+  EXPECT_EQ(got.walk.zoid_height_hist, want.walk.zoid_height_hist);
+  i = 0;
+  for (auto c : {&S::spawns, &S::tasks_run, &S::steals, &S::failed_steals,
+                 &S::idle_spins, &S::parks}) {
+    EXPECT_EQ(got.sched.*c, want.sched.*c) << "sched counter " << i++;
+  }
+}
+
+// The JSON of a record whose counters all differ, byte for byte as the
+// exporter printed it when every counter was written out by hand: a
+// counter missing from a fields() list, or listed out of order, changes
+// these bytes.
+TEST(TelemetryExport, CounterJsonIsPinned) {
+  const std::string body =
+      R"({"seconds": 0.500000, "points": 5100, "points_per_s": 10200.0, )"
+      R"("walk": {"space_cuts": 11, "time_cuts": 12, "base_interior": 13, )"
+      R"("base_boundary": 14, "loops_steps": 15, "points_interior": 1600, )"
+      R"("points_boundary": 1700, "points_loops": 1800, )"
+      R"("points_checked": 19, "zoid_points_hist": [21,0,0,22,0,0,0,23], )"
+      R"("zoid_height_hist": [0,24,25,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,)"
+      R"(0,0,0,0,0,0,0,0,0,0,26]}, "sched": {"spawns": 31, "tasks_run": 32, )"
+      R"("steals": 8, "failed_steals": 34, "idle_spins": 35, "parks": 36, )"
+      R"("steal_ratio": 0.2500}})";
+  const tel::RunTelemetry t = distinct_counters(1);
+  EXPECT_EQ(tel::to_json(t, /*include_label=*/false), body);
+  EXPECT_EQ(tel::to_json(t),
+            R"({"label": "golden \"run\"", )" + body.substr(1));
+}
+
+// The delta and the sum of two records act on every counter, each on its
+// own.
+TEST(TelemetryExport, CounterDeltaAndSumAreFieldwise) {
+  const tel::RunTelemetry a = distinct_counters(5);
+  const tel::RunTelemetry b = distinct_counters(2);
+  tel::RunTelemetry delta;
+  delta.walk = a.walk - b.walk;
+  delta.sched = a.sched - b.sched;
+  expect_same_counters(delta, distinct_counters(3));
+  tel::RunTelemetry sum = a;
+  sum.walk += b.walk;
+  sum.sched += b.sched;
+  expect_same_counters(sum, distinct_counters(7));
 }
 
 TEST(TelemetryOverhead, DisabledAndCounterOnlyPathsAreAllocationFree) {
