@@ -89,7 +89,7 @@ double timed(F&& fn) {
   return timer.seconds();
 }
 
-/// Timed reps per configuration, after one untimed warm-up.
+/// Timed reps per configuration, after one warm-up.
 constexpr int kReps = 5;
 
 /// The reps of one configuration: their median and spread (interquartile
@@ -128,8 +128,7 @@ template <typename Fresh>
 Reps measure_reps(const std::string& label, Fresh&& fresh,
                   bool force_telemetry = false) {
   Reps r;
-  auto warm_up = fresh();
-  r.cold = timed(warm_up);
+  r.cold = timed(fresh());  // its grid is freed before the timed reps
   std::vector<double> secs;
   for (int rep = 0; rep < kReps; ++rep) {
     auto run = fresh();
